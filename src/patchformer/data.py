@@ -104,8 +104,10 @@ class TimeSeriesTable:
 def load_csv(path) -> TimeSeriesTable:
     """Read a ``date`` + channels CSV, validating order and completeness.
 
-    Timestamps are kept as opaque strings and must increase strictly in
-    lexicographic order, which ISO-8601 stamps satisfy.
+    Timestamps are kept as strings.  Each is parsed once, as an ISO-8601
+    datetime or else an integer, and the parsed values must increase
+    strictly.  The first stamp fixes the kind; a later stamp of another kind
+    is an error.
     """
     path = Path(path)
     if not path.exists():
@@ -126,6 +128,7 @@ def load_csv(path) -> TimeSeriesTable:
 
         timestamps: list[str] = []
         rows: list[list[float]] = []
+        parse = previous = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -136,6 +139,27 @@ def load_csv(path) -> TimeSeriesTable:
             stamp = row[0].strip()
             if not stamp:
                 raise DataError(f"{path} line {line_no}: empty timestamp")
+            if parse is None:
+                parse = _stamp_parser(stamp)
+                if parse is None:
+                    raise DataError(
+                        f"{path} line {line_no}: timestamp {stamp!r} is neither "
+                        f"an ISO-8601 datetime nor an integer"
+                    )
+            try:
+                moment = parse(stamp)
+                ordered = previous is None or moment > previous
+            except (ValueError, TypeError):
+                raise DataError(
+                    f"{path} line {line_no}: timestamp {stamp!r} is not of the same "
+                    f"kind as the first one, {timestamps[0]!r}"
+                ) from None
+            if not ordered:
+                raise DataError(
+                    f"{path} line {line_no}: timestamp {stamp!r} does not "
+                    f"increase over {timestamps[-1]!r}"
+                )
+            previous = moment
             parsed = []
             for name, cell in zip(channel_names, row[1:]):
                 text = cell.strip()
@@ -159,15 +183,20 @@ def load_csv(path) -> TimeSeriesTable:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    for i in range(1, len(timestamps)):
-        if timestamps[i] <= timestamps[i - 1]:
-            raise DataError(
-                f"{path} line {i + 2}: timestamp {timestamps[i]!r} does not "
-                f"increase over {timestamps[i - 1]!r}"
-            )
     return TimeSeriesTable(
         timestamps=timestamps, values=np.array(rows), channel_names=channel_names
     )
+
+
+def _stamp_parser(stamp: str):
+    """``datetime.fromisoformat`` or ``int``, whichever reads ``stamp``; else None."""
+    for parse in (datetime.fromisoformat, int):
+        try:
+            parse(stamp)
+        except ValueError:
+            continue
+        return parse
+    return None
 
 
 def save_csv(table: TimeSeriesTable, path) -> Path:

@@ -1,10 +1,13 @@
-"""Encoder-decoder forecaster over patch tokens, one channel at a time.
+"""Encoder-decoder forecaster over patch tokens, channels folded into the batch.
 
-Every channel of a multivariate series runs through the same weights: the
-encoder ingests the patch tokens of the lookback window, the decoder ingests
-the tokens of the second half of the lookback followed by a zero placeholder
-for the horizon, and a flattening linear head maps the decoder output to all
-``pred_len`` steps in a single pass.
+Every channel of a multivariate series runs through the same weights, so the
+channels of a window are folded into the batch axis and forecast in one pass:
+the encoder ingests the patch tokens of the lookback window, the decoder
+ingests the tokens of the second half of the lookback followed by a zero
+placeholder for the horizon, and a flattening linear head maps the decoder
+output to all ``pred_len`` steps at once.  Channels never mix, because every
+op treats each series row on its own: layer norm over the series' own (Z, D)
+block, softmax per row, and matmul rows that are independent of one another.
 
 Normalisation follows the residual sums: each sublayer output is added to its
 input and the sum is normalised over both the patch and feature axes, with a
@@ -323,9 +326,10 @@ class PatchformerModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forecast one multivariate window: (seq_len, C) -> (pred_len, C).
 
-        Evaluation mode only.  Channels run through the network one at a time
-        with identical weights, so permuting input channels permutes the
-        output bit for bit.
+        Evaluation mode only.  The C channels form the batch of one
+        ``forward_series`` pass, the same fold ``forward_batch`` makes.  Each
+        series row is computed on its own, so permuting input channels
+        permutes the output bit for bit.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape != (self.cfg.seq_len, self.cfg.n_channels):
@@ -334,11 +338,8 @@ class PatchformerModel:
                 f"got {x.shape}"
             )
         with no_grad():
-            columns = [
-                self.forward_series(x[:, c][None, :]).data[0]
-                for c in range(self.cfg.n_channels)
-            ]
-        return np.stack(columns, axis=1)
+            out = self.forward_series(np.ascontiguousarray(x.T))
+        return np.ascontiguousarray(out.data.T)
 
     def forward_batch(
         self,
@@ -426,12 +427,24 @@ def load_checkpoint(path) -> Checkpoint:
         scaler_mean = bundle["scaler.mean"] if "scaler.mean" in bundle else None
         scaler_std = bundle["scaler.std"] if "scaler.std" in bundle else None
     cfg = ModelConfig(**meta["config"])
+    channel_names = meta.get("channel_names")
+    if channel_names is not None and len(channel_names) != cfg.n_channels:
+        raise DataError(
+            f"{path}: {len(channel_names)} channel names for a "
+            f"{cfg.n_channels}-channel model"
+        )
+    for label, stat in (("mean", scaler_mean), ("std", scaler_std)):
+        if stat is not None and stat.shape != (cfg.n_channels,):
+            raise DataError(
+                f"{path}: scaler {label} has shape {stat.shape}, expected "
+                f"({cfg.n_channels},) for a {cfg.n_channels}-channel model"
+            )
     model = PatchformerModel.build(cfg)
     model.store.load_state_dict(state)
     return Checkpoint(
         model=model,
         scaler_mean=scaler_mean,
         scaler_std=scaler_std,
-        channel_names=meta.get("channel_names"),
+        channel_names=channel_names,
         extra=meta.get("extra", {}),
     )

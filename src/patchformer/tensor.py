@@ -23,7 +23,6 @@ from .errors import ConfigError, NumericsError, ShapeError
 __all__ = [
     "Tensor",
     "no_grad",
-    "grad_enabled",
     "concat",
     "dropout",
     "mean_var",
@@ -47,10 +46,6 @@ def no_grad():
         yield
     finally:
         _GradMode.enabled = previous
-
-
-def grad_enabled() -> bool:
-    return _GradMode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -90,6 +90,38 @@ def test_load_csv_rejects_unordered_timestamps(tmp_path):
         load_csv(write_csv(tmp_path, bad))
 
 
+def test_load_csv_orders_integer_timestamps_by_value(tmp_path):
+    text = "date,a\n" + "".join(f"{i},{float(i)}\n" for i in range(1, 13))
+    table = load_csv(write_csv(tmp_path, text))
+    assert table.timestamps == [str(i) for i in range(1, 13)]
+    with pytest.raises(DataError, match="line 3: timestamp '9' does not increase"):
+        load_csv(write_csv(tmp_path, "date,a\n10,1.0\n9,2.0\n"))
+
+
+def test_load_csv_orders_iso_timestamps_by_time(tmp_path):
+    text = "date,a\n2021-01-01T09:00:00,1.0\n2021-01-01 10:00:00,2.0\n"
+    assert load_csv(write_csv(tmp_path, text)).n_steps == 2
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [
+        ("2021-01-01", "12"),
+        ("11", "2021-01-01"),
+        ("2021-01-01T00:00:00+00:00", "2021-01-01T01:00:00"),
+    ],
+)
+def test_load_csv_rejects_mixed_timestamp_kinds(tmp_path, stamps):
+    text = "date,a\n" + "".join(f"{stamp},1.0\n" for stamp in stamps)
+    with pytest.raises(DataError, match="line 3: .* same kind"):
+        load_csv(write_csv(tmp_path, text))
+
+
+def test_load_csv_rejects_unparseable_timestamp(tmp_path):
+    with pytest.raises(DataError, match="line 2: .* neither"):
+        load_csv(write_csv(tmp_path, "date,a\nmonday,1.0\ntuesday,2.0\n"))
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     values = np.array([[0.1, 1 / 3], [np.pi, 2e-17]])
     table = TimeSeriesTable(

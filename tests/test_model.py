@@ -226,7 +226,31 @@ def test_forward_batch_matches_forward(tiny_model, rng_np):
     x = rng_np.normal(size=(16, 2))
     single = tiny_model.forward(x)
     batched = tiny_model.forward_batch(x[None]).data[0]
-    np.testing.assert_allclose(batched, single, atol=1e-12)
+    np.testing.assert_array_equal(batched, single)
+
+
+def test_forward_runs_all_channels_in_one_pass(rng_np):
+    model = PatchformerModel.build(reference_cfg(n_channels=5))
+    inner = model.forward_series
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return inner(x, *args, **kwargs)
+
+    model.forward_series = counted
+    out = model.forward(rng_np.normal(size=(16, 5)))
+    assert calls == [(5, 16)]
+    assert out.shape == (8, 5) and out.flags.c_contiguous
+
+
+def test_forward_matches_per_channel_reference(tiny_model, rng_np):
+    """The folded pass agrees with one forward_series call per channel."""
+    x = rng_np.normal(size=(16, 2))
+    reference = np.stack(
+        [tiny_model.forward_series(x[:, c][None, :]).data[0] for c in range(2)], axis=1
+    )
+    np.testing.assert_allclose(tiny_model.forward(x), reference, rtol=0, atol=1e-12)
 
 
 def test_decoder_series_layout(tiny_model):
@@ -330,6 +354,20 @@ def test_load_checkpoint_rejects_foreign_npz(tmp_path):
     path = tmp_path / "other.npz"
     np.savez(path, values=np.ones(3))
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "saved, message",
+    [
+        ({"channel_names": ["a", "b", "c"]}, "3 channel names for a 2-channel model"),
+        ({"scaler_mean": np.zeros(1), "scaler_std": np.ones(1)}, r"scaler mean has shape \(1,\)"),
+        ({"scaler_mean": np.zeros(2), "scaler_std": np.ones(3)}, r"scaler std has shape \(3,\)"),
+    ],
+)
+def test_load_checkpoint_rejects_channel_count_mismatch(tiny_model, tmp_path, saved, message):
+    path = save_checkpoint(tiny_model, tmp_path / "model.npz", **saved)
+    with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
 
