@@ -5,18 +5,33 @@ key row, with no causal mask.  Heads are evaluated in one batched pass by
 stacking their projection matrices; each head's block of the stacked weight
 matrix feeds exactly one slice of the reshaped activations, so the result
 matches a head-by-head loop.
+
+The value and output projections are folded into one map per head.  With
+attention weights A_h, the output is the reassociated sum
+``sum_h A_h (X W_v,h) W_o,h = sum_h (A_h X) (W_v,h W_o,h)``: each head mixes
+the raw key/value rows X, and the stacked products W_v,h W_o,h map the merged
+heads straight back to model width.  No value projection is ever computed.
+
+In grad mode the product is recorded in the graph on every call, so gradients
+reach ``w_value`` and ``w_out``.  Under ``no_grad`` it is memoised on the
+``AttentionParams`` and reused while both source arrays are the very objects
+it was computed from.  That is safe because parameter arrays are immutable:
+every writer in the package (initialisation, ``load_state_dict``, the Adam
+step, gradient checking) installs a new read-only array instead of editing
+one in place, and an in-place write raises ``ValueError``.  A writable array
+assigned to a parameter from outside the package is never memoised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .params import ParameterStore
-from .tensor import Tensor, dropout, softmax_lastdim
+from .params import ParameterStore, read_only
+from .tensor import Tensor, dropout, grad_enabled, softmax_lastdim
 
 __all__ = [
     "AttentionConfig",
@@ -97,6 +112,13 @@ class AttentionParams:
     ``w_query``/``w_key`` hold the H head matrices side by side as
     (d_model, H * d_k); ``w_value`` likewise as (d_model, H * d_v);
     ``w_out`` maps the concatenated head outputs (H * d_v) back to d_model.
+
+    Attention only uses ``w_value`` and ``w_out`` through their per-head
+    products, stacked as one (H * d_model, d_model) map (see
+    ``value_out``).  Outside grad mode the product is memoised here, keyed on
+    the identity of the two source arrays.  Parameter arrays are read-only,
+    so new values always arrive as new arrays and the memo cannot go stale; a
+    writable array assigned from outside the package is never memoised.
     """
 
     w_query: Tensor
@@ -104,6 +126,7 @@ class AttentionParams:
     w_value: Tensor
     w_out: Tensor
     n_heads: int
+    _memo: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, store: ParameterStore, prefix: str, cfg: AttentionConfig) -> "AttentionParams":
@@ -116,6 +139,28 @@ class AttentionParams:
             w_out=store.weight(f"{prefix}.w_out", (h * dv, d)),
             n_heads=h,
         )
+
+    def value_out(self) -> Tensor:
+        """The stacked per-head products W_v,h W_o,h as (H * d_model, d_model)."""
+        w_value, w_out = self.w_value.data, self.w_out.data
+        memoise = not grad_enabled() and _frozen(w_value) and _frozen(w_out)
+        memo = self._memo
+        if memoise and memo is not None and memo[0] is w_value and memo[1] is w_out:
+            return memo[2]
+        h = self.n_heads
+        d, d_v = w_value.shape[0], w_out.shape[0] // h
+        per_head = self.w_value.reshape(d, h, d_v).transpose((1, 0, 2))
+        product = (per_head @ self.w_out.reshape(h, d_v, d)).reshape(h * d, d)
+        if memoise:
+            # The memo holds the source arrays, so their ids cannot be reused.
+            self._memo = (w_value, w_out, product)
+            read_only(product.data)
+        return product
+
+
+def _frozen(values: np.ndarray) -> bool:
+    """True when nothing can edit ``values`` in place short of unfreezing it."""
+    return not values.flags.writeable and values.flags.owndata
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -134,11 +179,13 @@ def multi_head_attention(
     training: bool = False,
     return_weights: bool = False,
 ):
-    """Project, attend per head, concatenate, and map back to model width.
+    """Attend per head, concatenate, and map back to model width.
 
     ``x_q`` and ``x_kv`` are (Z, d_model) or (B, Z, d_model); self-attention
     passes the same tensor for both.  Dropout, when active, is applied to the
-    attention weights after the softmax.
+    attention weights after the softmax.  Each head's weights mix the raw
+    ``x_kv`` rows, and the folded value-output map of ``params.value_out()``
+    takes the merged heads back to model width.
     """
     squeeze = x_q.ndim == 2
     if squeeze:
@@ -157,7 +204,6 @@ def multi_head_attention(
     h = params.n_heads
     q = _split_heads(x_q @ params.w_query, h)
     k = _split_heads(x_kv @ params.w_key, h)
-    v = _split_heads(x_kv @ params.w_value, h)
 
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = (q @ k.transpose((0, 1, 3, 2))) * scale
@@ -166,11 +212,15 @@ def multi_head_attention(
         if rng is None:
             raise ConfigError("attention dropout in training mode needs an rng")
         weights = dropout(weights, attn_dropout, rng, training=True)
-    heads = weights @ v  # (B, H, Z_q, d_v)
-
-    b, _, z_q, d_v = heads.shape
-    merged = heads.transpose((0, 2, 1, 3)).reshape(b, z_q, h * d_v)
-    out = merged @ params.w_out
+    # Every head mixes the same x_kv rows, so the weights of all heads stack
+    # query-major into one (Z_q * H, Z_kv) matrix per series.  One GEMM per
+    # series then yields the merged (Z_q, H * d_model) head layout directly:
+    # only the Z_kv-wide weights are reordered, never the head outputs, and
+    # backward has no per-head copy of x_kv to sum.
+    b, _, z_q, z_kv = weights.shape
+    stacked = weights.transpose((0, 2, 1, 3)).reshape(b, z_q * h, z_kv)
+    merged = (stacked @ x_kv).reshape(b, z_q, h * x_kv.shape[-1])
+    out = merged @ params.value_out()
     if squeeze:
         out = out.reshape(*out.shape[1:])
         if return_weights:

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .data import (
     Scaler,
     SyntheticSpec,
     TimeSeriesTable,
+    _stamp_parser,
     chronological_split,
     fit_scaler,
     generate_synthetic_multienergy,
@@ -527,32 +528,49 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_STAMP_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d")
-
-
 def _extrapolate_stamps(stamps: list[str], count: int) -> list[str]:
-    """Continue the observed sampling interval past the last timestamp."""
+    """Continue the observed sampling interval past the last timestamp.
+
+    Stamps are read the way ``load_csv`` reads them, as ISO-8601 datetimes or
+    integers, and the new ones are written in the layout of the last stamp,
+    so a forecast file loads again.
+    """
     if len(stamps) < 2:
         raise DataError("need at least two timestamps to infer the sampling interval")
-    for fmt in _STAMP_FORMATS:
-        try:
-            previous = datetime.strptime(stamps[-2], fmt)
-            last = datetime.strptime(stamps[-1], fmt)
-        except ValueError:
-            continue
-        delta = last - previous
-        if delta <= timedelta(0):
-            break
-        return [(last + delta * (i + 1)).strftime(fmt) for i in range(count)]
+    parse = _stamp_parser(stamps[-1])
     try:
-        previous_i, last_i = int(stamps[-2]), int(stamps[-1])
-    except ValueError:
+        previous, last = parse(stamps[-2]), parse(stamps[-1])
+        increasing = last > previous
+    except (TypeError, ValueError):  # no parser, two kinds, or naive against aware
+        increasing = False
+    if not increasing:
         raise DataError(
             f"cannot infer a sampling interval from timestamps "
             f"{stamps[-2]!r}, {stamps[-1]!r}"
-        ) from None
-    step = last_i - previous_i
-    return [str(last_i + step * (i + 1)) for i in range(count)]
+        )
+    moments = [last + (last - previous) * (i + 1) for i in range(count)]
+    if parse is int:
+        return [str(m) for m in moments]
+    return _iso_like(stamps[-1], last, moments)
+
+
+def _iso_like(example: str, moment: datetime, moments: list[datetime]) -> list[str]:
+    """Write ``moments`` in the ISO-8601 layout that ``example`` uses for ``moment``.
+
+    The separator and the precision follow ``example``; when that layout
+    cannot express every moment exactly, the full ``isoformat`` is used.
+    """
+    day = moment.date().isoformat()
+    sep = example[len(day)] if example.startswith(day) and len(example) > len(day) else "T"
+    layouts = [lambda m: m.date().isoformat()] + [
+        lambda m, spec=spec: m.isoformat(sep, spec)
+        for spec in ("hours", "minutes", "seconds", "milliseconds", "microseconds")
+    ]
+    render = next((r for r in layouts if r(moment) == example), lambda m: m.isoformat(sep))
+    texts = [render(m) for m in moments]
+    if any(datetime.fromisoformat(text) != m for text, m in zip(texts, moments)):
+        texts = [m.isoformat(sep) for m in moments]
+    return texts
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:

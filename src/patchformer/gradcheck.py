@@ -4,7 +4,9 @@
 against central differences, parameter element by parameter element.  The
 loss function is re-evaluated from scratch for every probe, so it must be a
 pure function of the parameter values; the checker confirms this up front by
-evaluating it twice and requiring bitwise agreement.
+evaluating it twice and requiring bitwise agreement.  Each probe installs a
+perturbed read-only copy of the parameter array and the original array object
+is put back afterwards, so parameters are never edited in place.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DeterminismError, NumericsError, ShapeError
-from .params import ParameterStore
+from .params import ParameterStore, read_only
 from .tensor import Tensor, no_grad
 
 __all__ = ["ParamCheck", "GradCheckReport", "finite_diff_check"]
@@ -75,6 +77,13 @@ def _eval_scalar(loss_fn: Callable[[], Tensor]) -> float:
     return float(value.data.reshape(()))
 
 
+def _perturbed(original: np.ndarray, index: int, delta: float) -> np.ndarray:
+    """A read-only copy of ``original`` with flat element ``index`` moved by ``delta``."""
+    values = original.copy()
+    values.reshape(-1)[index] += delta
+    return read_only(values)
+
+
 def finite_diff_check(
     loss_fn: Callable[[], Tensor],
     params: ParameterStore,
@@ -118,18 +127,17 @@ def finite_diff_check(
 
     report = GradCheckReport(tol=tol, eps=eps)
     for name, tensor in params.items():
-        if not tensor.data.flags["C_CONTIGUOUS"]:
-            tensor.data = np.ascontiguousarray(tensor.data)
-        flat = tensor.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            plus = probe()
-            flat[i] = original - eps
-            minus = probe()
-            flat[i] = original
-            numeric[i] = (plus - minus) / (2.0 * eps)
+        original = tensor.data
+        numeric = np.zeros(original.size)
+        try:
+            for i in range(original.size):
+                tensor.data = _perturbed(original, i, eps)
+                plus = probe()
+                tensor.data = _perturbed(original, i, -eps)
+                minus = probe()
+                numeric[i] = (plus - minus) / (2.0 * eps)
+        finally:
+            tensor.data = original
         a = analytic[name].reshape(-1)
         denom = np.maximum(1e-8, np.abs(a) + np.abs(numeric))
         rel = np.abs(a - numeric) / denom
@@ -138,7 +146,7 @@ def finite_diff_check(
                 name=name,
                 max_rel_err=float(rel.max(initial=0.0)),
                 max_abs_err=float(np.abs(a - numeric).max(initial=0.0)),
-                n_elements=int(flat.size),
+                n_elements=int(original.size),
             )
         )
     params.zero_grads()

@@ -376,6 +376,21 @@ class Checkpoint:
     extra: dict
 
 
+def _check_channel_state(path, n_channels, channel_names, scaler_mean, scaler_std) -> None:
+    """Channel names and scaler arrays must match the model's channel count."""
+    if channel_names is not None and len(channel_names) != n_channels:
+        raise DataError(
+            f"{path}: {len(channel_names)} channel names for a "
+            f"{n_channels}-channel model"
+        )
+    for label, stat in (("mean", scaler_mean), ("std", scaler_std)):
+        if stat is not None and np.shape(stat) != (n_channels,):
+            raise DataError(
+                f"{path}: scaler {label} has shape {np.shape(stat)}, expected "
+                f"({n_channels},) for a {n_channels}-channel model"
+            )
+
+
 def save_checkpoint(
     model: PatchformerModel,
     path,
@@ -384,12 +399,17 @@ def save_checkpoint(
     channel_names: list[str] | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Write weights, config, and scaler state to one ``.npz`` container."""
+    """Write weights, config, and scaler state to one ``.npz`` container.
+
+    Channel names and scaler arrays that do not match the model's channel
+    count raise ``DataError`` here, the same check ``load_checkpoint`` makes.
+    """
     if (scaler_mean is None) != (scaler_std is None):
         raise ConfigError("scaler_mean and scaler_std must be saved together")
     path = Path(path)
     if path.suffix != ".npz":
         path = Path(str(path) + ".npz")
+    _check_channel_state(path, model.cfg.n_channels, channel_names, scaler_mean, scaler_std)
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.cfg),
@@ -428,17 +448,7 @@ def load_checkpoint(path) -> Checkpoint:
         scaler_std = bundle["scaler.std"] if "scaler.std" in bundle else None
     cfg = ModelConfig(**meta["config"])
     channel_names = meta.get("channel_names")
-    if channel_names is not None and len(channel_names) != cfg.n_channels:
-        raise DataError(
-            f"{path}: {len(channel_names)} channel names for a "
-            f"{cfg.n_channels}-channel model"
-        )
-    for label, stat in (("mean", scaler_mean), ("std", scaler_std)):
-        if stat is not None and stat.shape != (cfg.n_channels,):
-            raise DataError(
-                f"{path}: scaler {label} has shape {stat.shape}, expected "
-                f"({cfg.n_channels},) for a {cfg.n_channels}-channel model"
-            )
+    _check_channel_state(path, cfg.n_channels, channel_names, scaler_mean, scaler_std)
     model = PatchformerModel.build(cfg)
     model.store.load_state_dict(state)
     return Checkpoint(

@@ -16,7 +16,19 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
-__all__ = ["Rng", "ParameterStore"]
+__all__ = ["Rng", "ParameterStore", "read_only"]
+
+
+def read_only(values: np.ndarray) -> np.ndarray:
+    """Mark ``values`` read-only and return it; every parameter array goes in so.
+
+    A parameter gets new values only as a new array, never by an in-place
+    edit, because attention memoises products of its weights on the identity
+    of their arrays.  An in-place write raises ``ValueError`` instead of
+    leaving such a memo stale.
+    """
+    values.flags.writeable = False
+    return values
 
 
 class Rng:
@@ -54,7 +66,8 @@ class ParameterStore:
 
     Creation order is part of the model definition: every initialiser draws
     from the store's own stream, so building the same architecture with the
-    same seed reproduces every weight bit for bit.
+    same seed reproduces every weight bit for bit.  Parameter arrays are
+    read-only (see ``read_only``).
     """
 
     def __init__(self, seed: int):
@@ -88,7 +101,7 @@ class ParameterStore:
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ConfigError(f"parameter {name!r} already registered")
-        tensor = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+        tensor = Tensor(read_only(np.array(data, dtype=np.float64)), requires_grad=True)
         self._entries[name] = tensor
         return tensor
 
@@ -128,4 +141,4 @@ class ParameterStore:
                 raise ShapeError(
                     f"parameter {name!r} expects shape {tensor.shape}, got {values.shape}"
                 )
-            tensor.data = values.copy()
+            tensor.data = read_only(values.copy())

@@ -25,6 +25,7 @@ __all__ = [
     "no_grad",
     "concat",
     "dropout",
+    "grad_enabled",
     "mean_var",
     "pad_last",
     "unfold_windows",
@@ -46,6 +47,11 @@ def no_grad():
         yield
     finally:
         _GradMode.enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether ops are being recorded for ``backward`` (False inside ``no_grad``)."""
+    return _GradMode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

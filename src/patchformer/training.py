@@ -18,7 +18,7 @@ import numpy as np
 from .data import TimeSeriesTable, WindowSample, make_windows
 from .errors import ConfigError, ShapeError, TrainingError
 from .model import PatchformerModel
-from .params import ParameterStore, Rng
+from .params import ParameterStore, Rng, read_only
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -109,7 +109,7 @@ def adam_step(params: ParameterStore, state: AdamState) -> None:
         m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * grad
         v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (grad * grad)
         step = state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
-        tensor.data = tensor.data - step
+        tensor.data = read_only(tensor.data - step)
     params.zero_grads()
 
 

@@ -1,15 +1,23 @@
 """Tests for scaled dot-product attention and the multi-head wrapper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from patchformer import (
+    AdamState,
     AttentionConfig,
     AttentionParams,
     ParameterStore,
+    PatchformerModel,
+    Rng,
     Tensor,
+    adam_step,
     finite_diff_check,
+    mse_loss,
     multi_head_attention,
+    no_grad,
     scaled_dot_attention,
 )
 from patchformer.errors import ConfigError, ShapeError
@@ -133,7 +141,7 @@ def test_multi_head_output_shape(rng_np):
 def test_multi_head_zero_projection_gives_zero(rng_np):
     cfg = AttentionConfig(d_model=8, n_heads=2)
     store, params = make_params(cfg)
-    params.w_out.data[:] = 0.0
+    params.w_out.data = np.zeros_like(params.w_out.data)
     x = Tensor(rng_np.normal(size=(5, 8)))
     np.testing.assert_array_equal(multi_head_attention(x, x, params).data, np.zeros((5, 8)))
 
@@ -184,3 +192,106 @@ def test_multi_head_gradients(rng_np):
 
     report = finite_diff_check(loss, store, tol=1e-5)
     assert report.passed, report.format_lines()[-1]
+
+
+# -- folded value-output map ----------------------------------------------------
+
+
+def no_grad_forward(model, x):
+    with no_grad():
+        return model.forward_batch(x).data
+
+
+def loaded_copy(model):
+    """A freshly built model that loads ``model``'s current weights."""
+    fresh = PatchformerModel.build(model.cfg)
+    fresh.store.load_state_dict(model.store.state_dict())
+    return fresh
+
+
+def windows(rng_np, cfg, batch=3):
+    x = rng_np.normal(size=(batch, cfg.seq_len, cfg.n_channels))
+    y = rng_np.normal(size=(batch, cfg.pred_len, cfg.n_channels))
+    return x, y
+
+
+def test_memoised_product_follows_adam_step(tiny_model, rng_np):
+    x, y = windows(rng_np, tiny_model.cfg)
+    no_grad_forward(tiny_model, x)  # memoises every block's product
+    state = AdamState.init(tiny_model.store, lr=1e-2)
+    mse_loss(tiny_model.forward_batch(x), y).backward()
+    adam_step(tiny_model.store, state)
+    np.testing.assert_array_equal(
+        no_grad_forward(tiny_model, x), no_grad_forward(loaded_copy(tiny_model), x)
+    )
+
+
+def test_memoised_product_follows_load_state_dict(tiny_model, rng_np):
+    x, _ = windows(rng_np, tiny_model.cfg)
+    no_grad_forward(tiny_model, x)
+    other = PatchformerModel.build(replace(tiny_model.cfg, seed=1))
+    tiny_model.store.load_state_dict(other.store.state_dict())
+    np.testing.assert_array_equal(
+        no_grad_forward(tiny_model, x), no_grad_forward(loaded_copy(tiny_model), x)
+    )
+
+
+def test_parameter_arrays_reject_in_place_writes(tiny_model, rng_np):
+    x, y = windows(rng_np, tiny_model.cfg)
+    store = tiny_model.store
+
+    def assert_read_only():
+        for _, tensor in store.items():
+            with pytest.raises(ValueError):
+                tensor.data[...] = 0.0
+
+    assert_read_only()  # as built
+    store.load_state_dict(store.state_dict())
+    assert_read_only()
+    mse_loss(tiny_model.forward_batch(x), y).backward()
+    adam_step(store, AdamState.init(store, lr=1e-2))
+    assert_read_only()
+
+
+def test_memo_skips_writable_arrays(rng_np):
+    cfg = AttentionConfig(d_model=4, n_heads=2)
+    store, params = make_params(cfg)
+    x = Tensor(rng_np.normal(size=(3, 4)))
+    params.w_out.data = params.w_out.data.copy()  # writable, assigned from outside
+    with no_grad():
+        multi_head_attention(x, x, params)
+        params.w_out.data[...] = 0.0
+        out = multi_head_attention(x, x, params).data
+    np.testing.assert_array_equal(out, np.zeros((3, 4)))
+
+
+def test_grad_mode_forward_equals_no_grad_forward(tiny_model, rng_np):
+    assert tiny_model.cfg.dropout == 0.0
+    x, _ = windows(rng_np, tiny_model.cfg)
+    recorded = tiny_model.forward_batch(x, training=True, rng=Rng(0)).data
+    np.testing.assert_array_equal(recorded, no_grad_forward(tiny_model, x))
+    np.testing.assert_array_equal(recorded, no_grad_forward(tiny_model, x))  # memoised
+
+
+def test_training_graph_never_projects_values(tiny_model, rng_np):
+    """w_value only enters the graph through the folded product, never a GEMM with activations."""
+    x, y = windows(rng_np, tiny_model.cfg)
+    loss = mse_loss(tiny_model.forward_batch(x, training=True, rng=Rng(0)), y)
+    w_values = {id(t): name for name, t in tiny_model.store.items() if name.endswith(".w_value")}
+    cfg = tiny_model.cfg
+    assert len(w_values) == cfg.n_encoder_layers + 2 * cfg.n_decoder_layers
+    seen, stack, matmuls = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.op == "matmul":
+            matmuls += 1
+            assert not any(id(p) in w_values for p in node._parents)
+        stack.extend(node._parents)
+    assert matmuls > 0
+    loss.backward()
+    for name in w_values.values():
+        grad = tiny_model.store[name].grad
+        assert grad is not None and np.any(grad != 0.0), name

@@ -272,6 +272,31 @@ def test_forecast_extrapolates_integer_stamps(cli_run, tmp_path):
         _extrapolate_stamps(["glove", "hat"], 2)
 
 
+@pytest.mark.parametrize("layout", ["%Y-%m-%d %H:%M", "%Y-%m-%dT%H:%M:%S+00:00"])
+def test_forecast_accepts_every_loadable_stamp_layout(cli_run, tmp_path, layout):
+    from datetime import datetime, timedelta
+
+    from patchformer.data import TimeSeriesTable, save_csv
+
+    table = load_csv(cli_run["data"])
+    window = table.slice_rows(table.n_steps - 32, table.n_steps)
+    start = datetime(2021, 1, 1)
+    stamps = [(start + timedelta(hours=i)).strftime(layout) for i in range(40)]
+    window_csv = tmp_path / "window.csv"
+    save_csv(
+        TimeSeriesTable(
+            timestamps=stamps[:32], values=window.values, channel_names=window.channel_names
+        ),
+        window_csv,
+    )
+    out_csv = tmp_path / "forecast.csv"
+    assert main([
+        "forecast", "--checkpoint", str(cli_run["run"] / "model_best.npz"),
+        "--window", str(window_csv), "--out-file", str(out_csv),
+    ]) == 0
+    assert load_csv(out_csv).timestamps == stamps[32:]
+
+
 # -- gradcheck / sweep ----------------------------------------------------------------
 
 

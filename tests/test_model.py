@@ -1,5 +1,7 @@
 """Tests for layer norm, feed-forward, the two stacks, and checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_layer_norm_constant_input_returns_beta():
     store, params = make_norm(3)
     out = layer_norm(Tensor(np.full((4, 3), 7.0)), params)
     np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
-    params.beta.data[:] = [1.0, 2.0, 3.0]
+    params.beta.data = np.array([1.0, 2.0, 3.0])
     out = layer_norm(Tensor(np.full((4, 3), 7.0)), params)
     np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
@@ -61,8 +63,8 @@ def test_layer_norm_normalises_over_block(rng_np):
 
 def test_layer_norm_affine_is_per_feature(rng_np):
     store, params = make_norm(4, eps=1e-9)
-    params.gamma.data[:] = [1.0, 2.0, 3.0, 4.0]
-    params.beta.data[:] = [0.5, 0.0, -0.5, 1.0]
+    params.gamma.data = np.array([1.0, 2.0, 3.0, 4.0])
+    params.beta.data = np.array([0.5, 0.0, -0.5, 1.0])
     x = rng_np.normal(size=(5, 4))
     base = (x - x.mean()) / (np.sqrt(x.var()) + 1e-9)
     expected = base * params.gamma.data + params.beta.data
@@ -90,9 +92,9 @@ def test_layer_norm_rejects_vectors():
 def test_feed_forward_zero_weights_returns_bias(rng_np):
     store = ParameterStore(seed=0)
     params = FeedForwardParams.build(store, "ffn", 4, 8)
-    params.w1.data[:] = 0.0
-    params.w2.data[:] = 0.0
-    params.b2.data[:] = [1.0, 2.0, 3.0, 4.0]
+    params.w1.data = np.zeros_like(params.w1.data)
+    params.w2.data = np.zeros_like(params.w2.data)
+    params.b2.data = np.array([1.0, 2.0, 3.0, 4.0])
     out = feed_forward(Tensor(rng_np.normal(size=(5, 4))), params)
     np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0, 4.0], (5, 1)))
 
@@ -138,9 +140,9 @@ def zero_sublayer_weights(params):
     for attn_name in ("attn", "self_attn", "cross_attn"):
         attn = getattr(params, attn_name, None)
         if attn is not None:
-            attn.w_out.data[:] = 0.0
-    params.ffn.w2.data[:] = 0.0
-    params.ffn.b2.data[:] = 0.0
+            attn.w_out.data = np.zeros_like(attn.w_out.data)
+    params.ffn.w2.data = np.zeros_like(params.ffn.w2.data)
+    params.ffn.b2.data = np.zeros_like(params.ffn.b2.data)
 
 
 def test_encoder_layer_with_dead_sublayers_is_double_norm(rng_np):
@@ -170,7 +172,7 @@ def test_decoder_layer_ignores_memory_when_cross_projection_dead(rng_np):
     cfg = reference_cfg()
     store = ParameterStore(seed=0)
     params = DecoderLayerParams.build(store, "dec", cfg)
-    params.cross_attn.w_out.data[:] = 0.0
+    params.cross_attn.w_out.data = np.zeros_like(params.cross_attn.w_out.data)
     x = Tensor(rng_np.normal(size=(5, 8)))
     mem_a = Tensor(rng_np.normal(size=(6, 8)))
     mem_b = Tensor(rng_np.normal(size=(6, 8)))
@@ -357,7 +359,7 @@ def test_load_checkpoint_rejects_foreign_npz(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize(
+CHANNEL_MISMATCHES = pytest.mark.parametrize(
     "saved, message",
     [
         ({"channel_names": ["a", "b", "c"]}, "3 channel names for a 2-channel model"),
@@ -365,8 +367,29 @@ def test_load_checkpoint_rejects_foreign_npz(tmp_path):
         ({"scaler_mean": np.zeros(2), "scaler_std": np.ones(3)}, r"scaler std has shape \(3,\)"),
     ],
 )
+
+
+@CHANNEL_MISMATCHES
+def test_save_checkpoint_rejects_channel_count_mismatch(tiny_model, tmp_path, saved, message):
+    path = tmp_path / "model.npz"
+    with pytest.raises(DataError, match=message):
+        save_checkpoint(tiny_model, path, **saved)
+    assert not path.exists()
+
+
+@CHANNEL_MISMATCHES
 def test_load_checkpoint_rejects_channel_count_mismatch(tiny_model, tmp_path, saved, message):
-    path = save_checkpoint(tiny_model, tmp_path / "model.npz", **saved)
+    # save_checkpoint refuses these, so patch them into a valid file.
+    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    with np.load(path) as bundle:
+        arrays = dict(bundle)
+    meta = json.loads(str(arrays["meta"]))
+    meta["channel_names"] = saved.get("channel_names")
+    arrays["meta"] = np.array(json.dumps(meta))
+    if "scaler_mean" in saved:
+        arrays["scaler.mean"] = saved["scaler_mean"]
+        arrays["scaler.std"] = saved["scaler_std"]
+    np.savez(path, **arrays)
     with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
