@@ -33,6 +33,7 @@ from .embedding import (
 from .errors import (
     CapacityError,
     ConfigError,
+    ConstantChannelWarning,
     DataError,
     DeterminismError,
     NumericsError,
@@ -51,7 +52,7 @@ from .model import (
     save_checkpoint,
 )
 from .params import ParameterStore, Rng
-from .tensor import Tensor, concat, dropout, mean_var, no_grad, pad_last, unfold_windows
+from .tensor import Tensor, concat, dropout, no_grad, pad_last, unfold_windows
 from .training import (
     AdamState,
     MetricReport,

@@ -6,6 +6,14 @@ stacking their projection matrices; each head's block of the stacked weight
 matrix feeds exactly one slice of the reshaped activations, so the result
 matches a head-by-head loop.
 
+A block records four fused graph nodes: ``linear`` for the query and key
+projections, one ``attention_core`` (scores on head views of Q and K,
+scaling, softmax and the optional dropout mask done in place, then the mix
+of the raw key/value rows), and ``linear`` through the folded value-output
+map.  The core keeps only the softmax weights and the mask for backward; no
+head-split copy of Q, K or the output is made.  ``scaled_dot_attention``
+remains as the single-head composite form.
+
 The value and output projections are folded into one map per head.  With
 attention weights A_h, the output is the reassociated sum
 ``sum_h A_h (X W_v,h) W_o,h = sum_h (A_h X) (W_v,h W_o,h)``: each head mixes
@@ -31,7 +39,17 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .params import ParameterStore, read_only
-from .tensor import Tensor, dropout, grad_enabled, softmax_lastdim
+# ``dropout`` is unused here but stays a module name: bench/spans.py rebinds
+# ``attention.dropout`` when it traces a run.
+from .tensor import (  # noqa: F401
+    Tensor,
+    attention_core,
+    dropout,
+    dropout_mask,
+    grad_enabled,
+    linear,
+    softmax_lastdim,
+)
 
 __all__ = [
     "AttentionConfig",
@@ -163,13 +181,6 @@ def _frozen(values: np.ndarray) -> bool:
     return not values.flags.writeable and values.flags.owndata
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(B, Z, H*d) -> (B, H, Z, d) so heads batch through matmul."""
-    b, z, hd = x.shape
-    head_dim = hd // n_heads
-    return x.reshape(b, z, n_heads, head_dim).transpose((0, 2, 1, 3))
-
-
 def multi_head_attention(
     x_q: Tensor,
     x_kv: Tensor,
@@ -185,7 +196,8 @@ def multi_head_attention(
     passes the same tensor for both.  Dropout, when active, is applied to the
     attention weights after the softmax.  Each head's weights mix the raw
     ``x_kv`` rows, and the folded value-output map of ``params.value_out()``
-    takes the merged heads back to model width.
+    takes the merged heads back to model width.  The returned weights are a
+    (B, H, Z_q, Z_kv) array, after dropout.
     """
     squeeze = x_q.ndim == 2
     if squeeze:
@@ -202,29 +214,19 @@ def multi_head_attention(
         )
 
     h = params.n_heads
-    q = _split_heads(x_q @ params.w_query, h)
-    k = _split_heads(x_kv @ params.w_key, h)
-
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ k.transpose((0, 1, 3, 2))) * scale
-    weights = softmax_lastdim(scores)
+    keep = None
     if training and attn_dropout > 0.0:
         if rng is None:
             raise ConfigError("attention dropout in training mode needs an rng")
-        weights = dropout(weights, attn_dropout, rng, training=True)
-    # Every head mixes the same x_kv rows, so the weights of all heads stack
-    # query-major into one (Z_q * H, Z_kv) matrix per series.  One GEMM per
-    # series then yields the merged (Z_q, H * d_model) head layout directly:
-    # only the Z_kv-wide weights are reordered, never the head outputs, and
-    # backward has no per-head copy of x_kv to sum.
-    b, _, z_q, z_kv = weights.shape
-    stacked = weights.transpose((0, 2, 1, 3)).reshape(b, z_q * h, z_kv)
-    merged = (stacked @ x_kv).reshape(b, z_q, h * x_kv.shape[-1])
-    out = merged @ params.value_out()
+        shape = (x_q.shape[0], h, x_q.shape[1], x_kv.shape[1])
+        keep = dropout_mask(shape, attn_dropout, rng)
+    q = linear(x_q, params.w_query)
+    k = linear(x_kv, params.w_key)
+    merged, weights = attention_core(q, k, x_kv, h, keep)
+    out = linear(merged, params.value_out())
     if squeeze:
         out = out.reshape(*out.shape[1:])
-        if return_weights:
-            weights = weights.reshape(*weights.shape[1:])
+        weights = weights[0]
     if return_weights:
         return out, weights
     return out

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ConstantChannelWarning, DataError, ShapeError
 from .params import Rng
 
 __all__ = [
@@ -240,13 +241,31 @@ class Scaler:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, values: np.ndarray, floor: float = 1e-8) -> "Scaler":
+    def fit(
+        cls,
+        values: np.ndarray,
+        floor: float = 1e-8,
+        channel_names: list[str] | None = None,
+    ) -> "Scaler":
+        """Mean and population std per channel of a (T, C) array.
+
+        A channel whose std is below ``floor`` times max(1, |mean|) is flat:
+        it keeps std 1.0, so it is centred but not scaled, and a
+        ``ConstantChannelWarning`` names it.  Dividing later values by the
+        tiny std would blow them up.  The floor grows with |mean| because
+        rounding alone gives a constant channel of large values a std of
+        about 1e-16 |mean|.
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ShapeError(f"scaler fit needs a non-empty (T, C) array, got {values.shape}")
         mean = values.mean(axis=0)
-        std = np.maximum(values.std(axis=0), floor)
-        return cls(mean=mean, std=std)
+        std = values.std(axis=0)
+        flat = std < floor * np.maximum(np.abs(mean), 1.0)
+        for index in np.flatnonzero(flat):
+            name = channel_names[index] if channel_names is not None else None
+            warnings.warn(ConstantChannelWarning(int(index), name), stacklevel=2)
+        return cls(mean=mean, std=np.where(flat, 1.0, std))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
@@ -273,7 +292,7 @@ class Scaler:
 
 def fit_scaler(train_table: TimeSeriesTable) -> Scaler:
     """Per-channel z-score statistics from the training split only."""
-    return Scaler.fit(train_table.values)
+    return Scaler.fit(train_table.values, channel_names=train_table.channel_names)
 
 
 def apply_scaler(table: TimeSeriesTable, scaler: Scaler) -> TimeSeriesTable:

@@ -4,6 +4,8 @@ Every error raised on purpose derives from PatchformerError so callers can
 catch library failures without also swallowing programming mistakes.  The CLI
 maps these onto exit codes: ConfigError -> 1, DataError/ShapeError -> 2,
 TrainingError/NumericsError/DeterminismError -> 3.
+
+Inputs that are usable but suspect emit a named warning class instead.
 """
 
 
@@ -37,3 +39,15 @@ class TrainingError(PatchformerError, RuntimeError):
 
 class DeterminismError(PatchformerError, RuntimeError):
     """Two evaluations that must agree bitwise did not."""
+
+
+class ConstantChannelWarning(UserWarning):
+    """A channel is flat in the data a scaler was fit on, so it is centred but not scaled."""
+
+    def __init__(self, index: int, name: str | None = None):
+        self.index = index
+        self.name = name
+        label = f"channel {index}" if name is None else f"channel {index} ({name!r})"
+        super().__init__(
+            f"{label} is constant in the scaler's fit data; it is centred but not scaled"
+        )

@@ -26,7 +26,8 @@ from .attention import AttentionConfig, AttentionParams, multi_head_attention
 from .embedding import EmbeddingParams, PatchConfig, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
-from .tensor import Tensor, concat, dropout, mean_var, no_grad
+from .tensor import Tensor, concat, dropout, linear, no_grad
+from .tensor import layer_norm as fused_layer_norm
 
 __all__ = [
     "ModelConfig",
@@ -148,11 +149,7 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     For a (..., Z, D) input the mean and population standard deviation are
     taken over the trailing Z * D entries, then a per-feature affine applies.
     """
-    if x.ndim < 2:
-        raise ShapeError(f"layer_norm expects at least 2 dims, got shape {x.shape}")
-    mean, var = mean_var(x, axis=(-2, -1), keepdims=True)
-    normed = (x - mean) / (var.sqrt() + p.eps)
-    return normed * p.gamma + p.beta
+    return fused_layer_norm(x, p.gamma, p.beta, p.eps)
 
 
 @dataclass
@@ -175,7 +172,7 @@ class FeedForwardParams:
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
-    return ((x @ p.w1 + p.b1).relu() @ p.w2) + p.b2
+    return linear(linear(x, p.w1, p.b1).relu(), p.w2, p.b2)
 
 
 @dataclass

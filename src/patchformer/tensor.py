@@ -9,24 +9,36 @@ add up across repeated ``backward()`` calls; use ``zero_grad()`` (or
 
 All data is kept in float64.  Operations never mutate their inputs, so the
 recorded graph stays valid until it is garbage collected with the loss.
+
+Besides the elementwise, shape and reduction ops, three fused primitives
+record a whole block as one graph node with a closed-form VJP: ``linear``
+(one folded GEMM plus bias), ``layer_norm`` (over the trailing (Z, D) block)
+and ``attention_core`` (multi-head scores, softmax, dropout and mixing).  They
+compute in place on their own buffers and keep only what their backward
+needs, in the same operation order as the composite expressions they replace,
+so forward values are bitwise the same.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError, ShapeError
 
 __all__ = [
     "Tensor",
     "no_grad",
+    "attention_core",
     "concat",
     "dropout",
+    "dropout_mask",
     "grad_enabled",
-    "mean_var",
+    "layer_norm",
+    "linear",
     "pad_last",
     "unfold_windows",
 ]
@@ -105,11 +117,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def assert_finite(self, context: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NumericsError(f"{context} contains NaN or Inf")
-        return self
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -298,11 +305,11 @@ def pow_scalar(a: Tensor, exponent: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    data = np.where(mask, a.data, 0.0)
+    """max(x, 0); NaN inputs stay NaN and pass no gradient."""
+    data = np.maximum(a.data, 0.0)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (data > 0),)
 
     return _record(data, (a,), vjp, "relu")
 
@@ -338,6 +345,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(data, (a, b), vjp, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for (..., n) ``x`` and (n, m) ``w``, as one folded GEMM.
+
+    The leading axes of ``x`` fold into the GEMM rows and the bias ``b`` (m,)
+    is added in place, so the op records one graph node.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs (..., n) @ (n, m), got {x.shape} @ {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias of shape {b.shape} does not match {w.shape}")
+    folded = np.ascontiguousarray(x.data).reshape(-1, x.shape[-1])
+    out = folded @ w.data
+    if b is not None:
+        out += b.data
+    data = out.reshape(*x.shape[:-1], w.shape[1])
+
+    def vjp(g):
+        flat = np.ascontiguousarray(g).reshape(-1, g.shape[-1])
+        gx = (flat @ w.data.T).reshape(x.shape)
+        gw = folded.T @ flat
+        return (gx, gw) if b is None else (gx, gw, flat.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _record(data, parents, vjp, "linear")
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -428,18 +461,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(reduce_sum(a, axes, keepdims), Tensor(1.0 / count))
 
 
-def mean_var(a: Tensor, axis=None, keepdims: bool = False) -> tuple[Tensor, Tensor]:
-    """Population mean and variance over the given axes, both differentiable."""
-    mean_kept = reduce_mean(a, axis, keepdims=True)
-    centered = sub(a, mean_kept)
-    var_kept = reduce_mean(mul(centered, centered), axis, keepdims=True)
-    if keepdims:
-        return mean_kept, var_kept
-    axes = _normalize_axes(axis, a.ndim)
-    out_shape = tuple(s for i, s in enumerate(a.shape) if i not in axes)
-    return reshape(mean_kept, out_shape), reshape(var_kept, out_shape)
-
-
 # -- nonlinearities -----------------------------------------------------------
 
 
@@ -464,12 +485,129 @@ def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    keep = dropout_mask(a.shape, rate, rng)
 
     def vjp(g):
         return (g * keep,)
 
     return _record(a.data * keep, (a,), vjp, "dropout")
+
+
+def dropout_mask(shape: tuple[int, ...], rate: float, rng) -> np.ndarray:
+    """The inverted-dropout multiplier: 0 where dropped, 1 / (1 - rate) elsewhere."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+# -- fused blocks ---------------------------------------------------------------
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalise every trailing (Z, D) block of ``x``, then scale and shift per feature.
+
+    Each block is centred on its mean and divided by its population standard
+    deviation plus ``eps``; ``gamma`` and ``beta`` are (D,).  One graph node;
+    backward keeps only the centred block, the normalised block and the
+    per-block denominators.
+    """
+    if x.ndim < 2:
+        raise ShapeError(f"layer_norm expects at least 2 dims, got shape {x.shape}")
+    if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
+        raise ShapeError(
+            f"layer_norm affine of shapes {gamma.shape}, {beta.shape} for input {x.shape}"
+        )
+    count = x.shape[-2] * x.shape[-1]
+    if count == 0:
+        raise ShapeError(f"layer_norm over an empty block, input shape {x.shape}")
+    axes = (-2, -1)
+    inv_n = 1.0 / count
+    centered = x.data - x.data.sum(axis=axes, keepdims=True) * inv_n
+    normed = centered * centered
+    std = (normed.sum(axis=axes, keepdims=True) * inv_n) ** 0.5
+    denom = std + eps
+    np.divide(centered, denom, out=normed)
+    data = normed * gamma.data
+    data += beta.data
+
+    def vjp(g):
+        lead = tuple(range(g.ndim - 1))
+        g_normed = g * gamma.data
+        # normed = centered / (std + eps) with std = sqrt(mean(centered**2)),
+        # and centering subtracts the block mean.
+        g_denom = -(g_normed * normed).sum(axis=axes, keepdims=True) / denom
+        g_centered = g_normed / denom + centered * (g_denom * inv_n / std)
+        gx = g_centered - g_centered.sum(axis=axes, keepdims=True) * inv_n
+        return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+
+    return _record(data, (x, gamma, beta), vjp, "layer_norm")
+
+
+def attention_core(
+    q: Tensor, k: Tensor, x_kv: Tensor, n_heads: int, keep: np.ndarray | None = None
+) -> tuple[Tensor, np.ndarray]:
+    """Softmax attention of every head over the raw key/value rows, as one graph node.
+
+    Head h scores with columns h*d:(h+1)*d of ``q`` (B, Z_q, H*d) and ``k``
+    (B, Z_kv, H*d), scaled by 1/sqrt(d); ``keep`` is an optional
+    inverted-dropout multiplier (B, H, Z_q, Z_kv) for the softmax weights.
+    Head h's weights mix the rows of ``x_kv`` (B, Z_kv, D) into columns
+    h*D:(h+1)*D of the merged (B, Z_q, H*D) result, which is returned with
+    the applied weights as a (B, H, Z_q, Z_kv) array.  Heads are views of
+    ``q`` and ``k``; the weights are stacked query-major, (Z_q*H, Z_kv) per
+    series, so one GEMM per series writes the merged layout.
+    """
+    if q.ndim != 3 or k.ndim != 3 or x_kv.ndim != 3:
+        raise ShapeError(
+            f"attention_core needs 3-d operands, got {q.shape}, {k.shape}, {x_kv.shape}"
+        )
+    b, z_q, width = q.shape
+    z_kv = k.shape[1]
+    if k.shape != (b, z_kv, width) or x_kv.shape[:2] != (b, z_kv) or width % n_heads:
+        raise ShapeError(
+            f"attention_core shapes q {q.shape}, k {k.shape}, x_kv {x_kv.shape} "
+            f"do not fit {n_heads} heads"
+        )
+    h, d = n_heads, width // n_heads
+    if keep is not None and keep.shape != (b, h, z_q, z_kv):
+        raise ShapeError(f"dropout mask of shape {keep.shape}, expected {(b, h, z_q, z_kv)}")
+    scale = 1.0 / math.sqrt(d)
+    q_heads = q.data.reshape(b, z_q, h, d).transpose((0, 2, 1, 3))
+    k_heads = k.data.reshape(b, z_kv, h, d).transpose((0, 2, 1, 3))
+    scores = q_heads @ k_heads.transpose((0, 1, 3, 2))
+    scores *= scale
+    weights = np.ascontiguousarray(scores.transpose((0, 2, 1, 3)))
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    if keep is None:
+        applied = weights
+    else:
+        applied = np.multiply(weights, keep.transpose((0, 2, 1, 3)), out=np.empty_like(weights))
+    stacked = applied.reshape(b, z_q * h, z_kv)
+    d_v = x_kv.shape[2]
+    merged = np.matmul(stacked, x_kv.data).reshape(b, z_q, h * d_v)
+
+    def vjp(g):
+        g_stacked = g.reshape(b, z_q * h, d_v)
+        g_x_kv = np.matmul(stacked.transpose((0, 2, 1)), g_stacked)
+        g_w = np.matmul(g_stacked, x_kv.data.transpose((0, 2, 1))).reshape(b, z_q, h, z_kv)
+        if keep is not None:
+            g_w *= keep.transpose((0, 2, 1, 3))
+        g_w -= (g_w * weights).sum(axis=-1, keepdims=True)
+        g_w *= weights
+        g_w *= scale
+        g_scores = g_w.transpose((0, 2, 1, 3))
+        g_q = g_scores @ k_heads
+        g_k = g_scores.transpose((0, 1, 3, 2)) @ q_heads
+        return (
+            g_q.transpose((0, 2, 1, 3)).reshape(b, z_q, width),
+            g_k.transpose((0, 2, 1, 3)).reshape(b, z_kv, width),
+            g_x_kv,
+        )
+
+    out = _record(merged, (q, k, x_kv), vjp, "attention_core")
+    return out, applied.transpose((0, 2, 1, 3))
 
 
 # -- sequence windowing -------------------------------------------------------

@@ -190,6 +190,7 @@ def test_criterion_06_overfit_oracle(announce):
              f"train mse {final:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_learning_signal(announce, desk_run):
     model_mse = desk_run.test_report.mse
     baseline_mse = desk_run.baseline_report.mse
@@ -201,6 +202,7 @@ def test_criterion_07_learning_signal(announce, desk_run):
              f"train {initial:.4f} -> {final:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_08_determinism(announce, desk_run, desk_run_repeat):
     same_trace = desk_run.result.trace == desk_run_repeat.result.trace
     same_reports = (
@@ -212,6 +214,7 @@ def test_criterion_08_determinism(announce, desk_run, desk_run_repeat):
              f"{len(desk_run.result.trace)} trace rows identical")
 
 
+@pytest.mark.slow
 def test_criterion_09_metric_identities(announce, desk_run):
     pred = np.array([1.0, 2.0])
     target = np.array([2.0, 4.0])
@@ -262,6 +265,7 @@ def test_criterion_10_protocol_plumbing(announce, tmp_path):
              f"{len(rows)} rows, average row equals mean of singles")
 
 
+@pytest.mark.slow
 def test_criterion_11_checkpoint_round_trip(announce, desk_run):
     bundle = load_checkpoint(desk_run.best_checkpoint_path)
     direct = evaluate(desk_run.model, desk_run.data.test)

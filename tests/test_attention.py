@@ -273,6 +273,20 @@ def test_grad_mode_forward_equals_no_grad_forward(tiny_model, rng_np):
     np.testing.assert_array_equal(recorded, no_grad_forward(tiny_model, x))  # memoised
 
 
+def graph_nodes(loss):
+    """Every recorded node reachable from ``loss``."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+            nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
 def test_training_graph_never_projects_values(tiny_model, rng_np):
     """w_value only enters the graph through the folded product, never a GEMM with activations."""
     x, y = windows(rng_np, tiny_model.cfg)
@@ -280,18 +294,22 @@ def test_training_graph_never_projects_values(tiny_model, rng_np):
     w_values = {id(t): name for name, t in tiny_model.store.items() if name.endswith(".w_value")}
     cfg = tiny_model.cfg
     assert len(w_values) == cfg.n_encoder_layers + 2 * cfg.n_decoder_layers
-    seen, stack, matmuls = set(), [loss], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.op == "matmul":
-            matmuls += 1
-            assert not any(id(p) in w_values for p in node._parents)
-        stack.extend(node._parents)
-    assert matmuls > 0
+    gemms = [node for node in graph_nodes(loss) if node.op in ("matmul", "linear")]
+    assert {node.op for node in gemms} == {"matmul", "linear"}
+    for node in gemms:
+        assert not any(id(p) in w_values for p in node._parents), node.op
     loss.backward()
     for name in w_values.values():
         grad = tiny_model.store[name].grad
         assert grad is not None and np.any(grad != 0.0), name
+
+
+def test_training_graph_uses_one_node_per_norm_and_attention_block(tiny_config, rng_np):
+    cfg = replace(tiny_config, dropout=0.1)
+    model = PatchformerModel.build(cfg)
+    x, y = windows(rng_np, cfg)
+    loss = mse_loss(model.forward_batch(x, training=True, rng=Rng(0)), y)
+    ops = [node.op for node in graph_nodes(loss)]
+    assert ops.count("layer_norm") == 2 * cfg.n_encoder_layers + 3 * cfg.n_decoder_layers
+    assert ops.count("attention_core") == cfg.n_encoder_layers + 2 * cfg.n_decoder_layers
+    assert not {"softmax", "div", "pow"} & set(ops)

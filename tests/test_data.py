@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from patchformer import (
+    ConstantChannelWarning,
     Scaler,
     SyntheticSpec,
     TimeSeriesTable,
     build_decoder_input,
     chronological_split,
+    fit_scaler,
     generate_synthetic_multienergy,
     load_csv,
     make_windows,
@@ -203,6 +205,23 @@ def test_scaler_survives_constant_channel():
     out = scaler.transform(np.full((5, 1), 42.0))
     assert np.all(np.isfinite(out))
     np.testing.assert_array_equal(out, np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("level", [3.0, 987654321.123])
+def test_scaler_centres_flat_channel_without_scaling(rng_np, level):
+    values = np.stack([np.full(1000, level), rng_np.normal(size=1000)], axis=1)
+    table = TimeSeriesTable(
+        timestamps=[str(i) for i in range(1000)], values=values, channel_names=["flat", "live"]
+    )
+    with pytest.warns(ConstantChannelWarning, match=r"channel 0 \('flat'\)") as caught:
+        scaler = fit_scaler(table)
+    assert [(w.message.index, w.message.name) for w in caught] == [(0, "flat")]
+    assert scaler.std[0] == 1.0
+    # the fit mean of a level near 1e9 carries rounding error of about 1e-5
+    later = scaler.transform(np.array([[level + 0.5, 0.0]]))[0, 0]
+    np.testing.assert_allclose(later, 0.5, atol=1e-4)
+    with pytest.warns(ConstantChannelWarning, match="channel 0 is constant"):
+        Scaler.fit(values)
 
 
 def test_scaler_round_trip(rng_np):

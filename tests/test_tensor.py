@@ -10,10 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from patchformer import Tensor, concat, dropout, mean_var, no_grad, pad_last, unfold_windows
-from patchformer.errors import ConfigError, NumericsError, ShapeError
+from patchformer import Tensor, concat, dropout, no_grad, pad_last, unfold_windows
+from patchformer.errors import ConfigError, ShapeError
 from patchformer.params import Rng
 from patchformer.tensor import (
+    attention_core,
+    dropout_mask,
+    layer_norm,
+    linear,
     matmul,
     reduce_mean,
     reduce_sum,
@@ -96,18 +100,23 @@ def test_softmax_rows_sum_to_one(rng_np):
     np.testing.assert_allclose(out.sum(axis=-1), np.ones(4), atol=1e-12)
 
 
-def test_mean_var_oracle():
-    mean, var = mean_var(Tensor(np.array([1.0, 2.0, 3.0, 4.0])))
-    assert mean.item() == 2.5
-    assert var.item() == 1.25
+def identity_affine(width: int) -> tuple[Tensor, Tensor]:
+    return Tensor(np.ones(width)), Tensor(np.zeros(width))
 
 
-def test_mean_var_axis_keepdims(rng_np):
+def test_layer_norm_oracle():
+    # mean 2.5 and population variance 1.25
+    out = layer_norm(Tensor(np.array([[1.0, 2.0, 3.0, 4.0]])), *identity_affine(4), eps=0.0)
+    expected = (np.array([[1.0, 2.0, 3.0, 4.0]]) - 2.5) / np.sqrt(1.25)
+    np.testing.assert_array_equal(out.data, expected)
+
+
+def test_layer_norm_block_statistics(rng_np):
     x = rng_np.normal(size=(2, 3, 4))
-    mean, var = mean_var(Tensor(x), axis=(-2, -1), keepdims=True)
-    assert mean.shape == (2, 1, 1)
-    np.testing.assert_allclose(mean.data, x.mean(axis=(1, 2), keepdims=True))
-    np.testing.assert_allclose(var.data, x.var(axis=(1, 2), keepdims=True))
+    out = layer_norm(Tensor(x), *identity_affine(4), eps=1e-5)
+    mean = x.mean(axis=(1, 2), keepdims=True)
+    var = x.var(axis=(1, 2), keepdims=True)
+    np.testing.assert_allclose(out.data, (x - mean) / (np.sqrt(var) + 1e-5), atol=1e-12)
 
 
 def test_relu_forward_and_grad():
@@ -115,6 +124,15 @@ def test_relu_forward_and_grad():
     out = relu(x)
     assert out.data.tolist() == [0.0, 0.0, 2.0]
     out.sum().backward()
+    assert x.grad.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_relu_propagates_nan():
+    x = Tensor(np.array([np.nan, -1.0, 2.0]), requires_grad=True)
+    out = relu(x)
+    assert np.isnan(out.data[0])
+    assert out.data[1:].tolist() == [0.0, 2.0]
+    (out * Tensor(np.array([0.0, 1.0, 1.0]))).sum().backward()
     assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -142,11 +160,6 @@ def test_concat_axis0():
 def test_item_rejects_vectors():
     with pytest.raises(ShapeError):
         Tensor(np.ones(3)).item()
-
-
-def test_assert_finite_raises_on_nan():
-    with pytest.raises(NumericsError, match="attention"):
-        Tensor(np.array([1.0, np.nan])).assert_finite("attention scores")
 
 
 # -- backward oracles ----------------------------------------------------------
@@ -312,14 +325,10 @@ def test_grad_reduce_mean(rng_np):
     check_primitive(lambda t: (reduce_mean(t, axis=1) ** 2).sum(), w)
 
 
-def test_grad_mean_var_composite(rng_np):
+def test_grad_layer_norm(rng_np):
     w = rng_np.normal(size=(2, 8))
-
-    def fn(t):
-        mean, var = mean_var(t, axis=-1, keepdims=True)
-        return (mean * mean + var).sum()
-
-    check_primitive(fn, w)
+    probe = Tensor(rng_np.normal(size=(2, 8)))
+    check_primitive(lambda t: (layer_norm(t, *identity_affine(8), eps=1e-5) * probe).sum(), w)
 
 
 def test_grad_softmax(rng_np):
@@ -377,3 +386,160 @@ def test_dropout_rejects_bad_rate():
         dropout(Tensor(np.ones(3)), 1.0, Rng(0), training=True)
     with pytest.raises(ConfigError):
         dropout(Tensor(np.ones(3)), -0.1, Rng(0), training=True)
+
+
+# -- fused primitives against the composite expressions they replace -------------
+
+
+def composite_layer_norm(x, gamma, beta, eps):
+    mean = reduce_mean(x, (-2, -1), keepdims=True)
+    centered = x - mean
+    var = reduce_mean(centered * centered, (-2, -1), keepdims=True)
+    return (centered / (var.sqrt() + eps)) * gamma + beta
+
+
+def composite_linear(x, w, b=None):
+    out = matmul(x, w)
+    return out if b is None else out + b
+
+
+def composite_attention_core(q, k, x_kv, n_heads, keep):
+    b, z_q, width = q.shape
+    z_kv, d = k.shape[1], width // n_heads
+    q_heads = q.reshape(b, z_q, n_heads, d).transpose((0, 2, 1, 3))
+    k_heads = k.reshape(b, z_kv, n_heads, d).transpose((0, 2, 1, 3))
+    weights = softmax_lastdim((q_heads @ k_heads.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(d)))
+    if keep is not None:
+        weights = weights * Tensor(keep)
+    stacked = weights.transpose((0, 2, 1, 3)).reshape(b, z_q * n_heads, z_kv)
+    return (stacked @ x_kv).reshape(b, z_q, n_heads * x_kv.shape[-1]), weights
+
+
+def assert_same_vjp(fused, composite, inputs):
+    """Forward values and every input gradient agree to 1e-12."""
+    results = []
+    for fn in (fused, composite):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+        out = fn(*leaves)
+        probe = np.random.default_rng(99).normal(size=out.shape)
+        (out * Tensor(probe)).sum().backward()
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (out_f, grads_f), (out_c, grads_c) = results
+    np.testing.assert_allclose(out_f, out_c, rtol=1e-12, atol=1e-12)
+    for gf, gc in zip(grads_f, grads_c):
+        np.testing.assert_allclose(gf, gc, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layer_norm_matches_composite(seed):
+    rng = np.random.default_rng(seed)
+    lead = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+    z, d = rng.integers(1, 6, size=2)
+    inputs = [
+        rng.normal(loc=rng.normal(), scale=rng.uniform(0.1, 5.0), size=(*lead, z, d)),
+        rng.normal(size=d),
+        rng.normal(size=d),
+    ]
+    eps = float(rng.choice([1e-5, 1e-9]))
+    assert_same_vjp(
+        lambda x, g, b: layer_norm(x, g, b, eps),
+        lambda x, g, b: composite_layer_norm(x, g, b, eps),
+        inputs,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("bias", [False, True])
+def test_linear_matches_composite(seed, bias):
+    rng = np.random.default_rng(seed)
+    lead = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
+    n, m = rng.integers(1, 6, size=2)
+    inputs = [rng.normal(size=(*lead, n)), rng.normal(size=(n, m))]
+    if bias:
+        inputs.append(rng.normal(size=m))
+    assert_same_vjp(linear, composite_linear, inputs)
+
+
+def attention_case(seed: int, with_keep: bool):
+    """Random (q, k, x_kv, heads, keep) with Z_q != Z_kv and B = 1 on even seeds."""
+    rng = np.random.default_rng(seed)
+    b = 1 if seed % 2 == 0 else int(rng.integers(2, 4))
+    z_q = int(rng.integers(1, 5))
+    z_kv = z_q + int(rng.integers(1, 3))
+    heads, d, d_v = (int(v) for v in rng.integers(1, 4, size=3))
+    q = rng.normal(size=(b, z_q, heads * d))
+    k = rng.normal(size=(b, z_kv, heads * d))
+    x_kv = rng.normal(size=(b, z_kv, d_v))
+    keep = dropout_mask((b, heads, z_q, z_kv), 0.3, rng) if with_keep else None
+    return [q, k, x_kv], heads, keep
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("with_keep", [False, True])
+def test_attention_core_matches_composite(seed, with_keep):
+    inputs, heads, keep = attention_case(seed, with_keep)
+    assert_same_vjp(
+        lambda q, k, x: attention_core(q, k, x, heads, keep)[0],
+        lambda q, k, x: composite_attention_core(q, k, x, heads, keep)[0],
+        inputs,
+    )
+    fused = attention_core(*map(Tensor, inputs), heads, keep)[1]
+    composite = composite_attention_core(*map(Tensor, inputs), heads, keep)[1].data
+    np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_grad_layer_norm_each_input(rng_np, which):
+    inputs = [rng_np.normal(size=(2, 3, 4)), rng_np.normal(size=4), rng_np.normal(size=4)]
+    probe = Tensor(rng_np.normal(size=(2, 3, 4)))
+
+    def fn(t):
+        args = [Tensor(x) for x in inputs]
+        args[which] = t
+        return (layer_norm(*args, eps=1e-5) * probe).sum()
+
+    check_primitive(fn, inputs[which])
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_grad_linear_each_input(rng_np, which):
+    inputs = [rng_np.normal(size=(2, 3, 4)), rng_np.normal(size=(4, 5)), rng_np.normal(size=5)]
+    probe = Tensor(rng_np.normal(size=(2, 3, 5)))
+
+    def fn(t):
+        args = [Tensor(x) for x in inputs]
+        args[which] = t
+        return (linear(*args) * probe).sum()
+
+    check_primitive(fn, inputs[which])
+
+
+@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("with_keep", [False, True])
+def test_grad_attention_core_each_input(which, with_keep):
+    inputs, heads, keep = attention_case(1, with_keep)
+    q, _, x_kv = inputs
+    probe = Tensor(np.random.default_rng(5).normal(size=(*q.shape[:2], heads * x_kv.shape[2])))
+
+    def fn(t):
+        args = [Tensor(x) for x in inputs]
+        args[which] = t
+        return (attention_core(*args, heads, keep)[0] * probe).sum()
+
+    check_primitive(fn, inputs[which])
+
+
+def test_fused_primitives_reject_bad_shapes():
+    with pytest.raises(ShapeError):
+        layer_norm(Tensor(np.ones(4)), *identity_affine(4), eps=1e-5)
+    with pytest.raises(ShapeError):
+        layer_norm(Tensor(np.ones((2, 4))), *identity_affine(3), eps=1e-5)
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))))
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
+    q = Tensor(np.ones((1, 2, 6)))
+    with pytest.raises(ShapeError):
+        attention_core(q, Tensor(np.ones((1, 3, 6))), Tensor(np.ones((1, 3, 4))), 4)
+    with pytest.raises(ShapeError):
+        attention_core(q, Tensor(np.ones((1, 3, 6))), Tensor(np.ones((1, 2, 4))), 2)
