@@ -1,35 +1,17 @@
 """Patch-based encoder-decoder forecasting on a self-contained autodiff core."""
 
-from .attention import (
-    AttentionConfig,
-    AttentionParams,
-    multi_head_attention,
-    scaled_dot_attention,
-)
+from .attention import AttentionConfig, AttentionParams, multi_head_attention
 from .data import (
     Scaler,
     SyntheticSpec,
     TimeSeriesTable,
-    WindowSample,
-    apply_scaler,
-    build_decoder_input,
     chronological_split,
-    fit_scaler,
     generate_synthetic_multienergy,
-    invert_scaler,
     load_csv,
     make_windows,
     save_csv,
 )
-from .embedding import (
-    EmbeddingParams,
-    PatchConfig,
-    PatchGrid,
-    compute_patch_count,
-    pad_series,
-    patch_embed,
-    patch_series,
-)
+from .embedding import EmbeddingParams, PatchConfig, compute_patch_count, patch_embed
 from .errors import (
     CapacityError,
     ConfigError,
@@ -62,7 +44,6 @@ from .training import (
     adam_step,
     average_reports,
     evaluate,
-    evaluate_windows,
     mae_metric,
     mse_loss,
     mse_metric,

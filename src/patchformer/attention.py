@@ -11,8 +11,8 @@ projections, one ``attention_core`` (scores on head views of Q and K,
 scaling, softmax and the optional dropout mask done in place, then the mix
 of the raw key/value rows), and ``linear`` through the folded value-output
 map.  The core keeps only the softmax weights and the mask for backward; no
-head-split copy of Q, K or the output is made.  ``scaled_dot_attention``
-remains as the single-head composite form.
+head-split copy of Q, K or the output is made.  A single head is the
+``n_heads=1`` case of the same core.
 
 The value and output projections are folded into one map per head.  With
 attention weights A_h, the output is the reassociated sum
@@ -32,15 +32,16 @@ assigned to a parameter from outside the package is never memoised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .params import ParameterStore, read_only
-# ``dropout`` is unused here but stays a module name: bench/spans.py rebinds
-# ``attention.dropout`` when it traces a run.
+# ``dropout`` and ``softmax_lastdim`` are unused here (the core applies both
+# inline) but stay module names: bench/spans.py rebinds ``attention.dropout``
+# and ``attention.softmax_lastdim`` by looking them up in this module's
+# namespace, so a traced run fails with KeyError without them.
 from .tensor import (  # noqa: F401
     Tensor,
     attention_core,
@@ -54,19 +55,17 @@ from .tensor import (  # noqa: F401
 __all__ = [
     "AttentionConfig",
     "AttentionParams",
-    "scaled_dot_attention",
     "multi_head_attention",
 ]
 
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Head count and projection widths; ``d_k``/``d_v`` default per the model."""
+    """Head count and query/key width; ``d_k`` defaults to d_model / n_heads."""
 
     d_model: int
     n_heads: int
     d_k: int | None = None
-    d_v: int | None = None
 
     def __post_init__(self):
         if self.d_model < 1:
@@ -80,47 +79,10 @@ class AttentionConfig:
             )
         if self.d_k is not None and self.d_k < 1:
             raise ConfigError(f"d_k must be positive, got {self.d_k}")
-        if self.d_v is not None and self.d_v < 1:
-            raise ConfigError(f"d_v must be positive, got {self.d_v}")
 
     @property
     def head_dim_k(self) -> int:
         return self.d_k if self.d_k is not None else self.d_model // self.n_heads
-
-    @property
-    def head_dim_v(self) -> int:
-        # Each head keeps the full model width unless narrowed explicitly.
-        return self.d_v if self.d_v is not None else self.d_model
-
-
-def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False
-):
-    """softmax(Q K^T / sqrt(d_k)) V over the last two axes.
-
-    Shapes: q (..., Z_q, d_k), k (..., Z_k, d_k), v (..., Z_k, d_v).
-    """
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ShapeError(
-            f"attention operands need at least 2 dims, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ k.transpose(_swap_last_two(k.ndim))) * scale
-    weights = softmax_lastdim(scores)
-    out = weights @ v
-    if return_weights:
-        return out, weights
-    return out
-
-
-def _swap_last_two(ndim: int) -> tuple[int, ...]:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
 
 
 @dataclass
@@ -128,8 +90,8 @@ class AttentionParams:
     """Stacked per-head projections plus the shared output map.
 
     ``w_query``/``w_key`` hold the H head matrices side by side as
-    (d_model, H * d_k); ``w_value`` likewise as (d_model, H * d_v);
-    ``w_out`` maps the concatenated head outputs (H * d_v) back to d_model.
+    (d_model, H * d_k); ``w_value`` likewise as (d_model, H * d_model);
+    ``w_out`` maps the concatenated head outputs (H * d_model) back to d_model.
 
     Attention only uses ``w_value`` and ``w_out`` through their per-head
     products, stacked as one (H * d_model, d_model) map (see
@@ -149,12 +111,12 @@ class AttentionParams:
     @classmethod
     def build(cls, store: ParameterStore, prefix: str, cfg: AttentionConfig) -> "AttentionParams":
         d, h = cfg.d_model, cfg.n_heads
-        dk, dv = cfg.head_dim_k, cfg.head_dim_v
+        dk = cfg.head_dim_k
         return cls(
             w_query=store.weight(f"{prefix}.w_query", (d, h * dk)),
             w_key=store.weight(f"{prefix}.w_key", (d, h * dk)),
-            w_value=store.weight(f"{prefix}.w_value", (d, h * dv)),
-            w_out=store.weight(f"{prefix}.w_out", (h * dv, d)),
+            w_value=store.weight(f"{prefix}.w_value", (d, h * d)),
+            w_out=store.weight(f"{prefix}.w_out", (h * d, d)),
             n_heads=h,
         )
 
@@ -166,9 +128,9 @@ class AttentionParams:
         if memoise and memo is not None and memo[0] is w_value and memo[1] is w_out:
             return memo[2]
         h = self.n_heads
-        d, d_v = w_value.shape[0], w_out.shape[0] // h
-        per_head = self.w_value.reshape(d, h, d_v).transpose((1, 0, 2))
-        product = (per_head @ self.w_out.reshape(h, d_v, d)).reshape(h * d, d)
+        d = w_value.shape[0]
+        per_head = self.w_value.reshape(d, h, d).transpose((1, 0, 2))
+        product = (per_head @ self.w_out.reshape(h, d, d)).reshape(h * d, d)
         if memoise:
             # The memo holds the source arrays, so their ids cannot be reused.
             self._memo = (w_value, w_out, product)

@@ -30,7 +30,6 @@ from .data import (
     TimeSeriesTable,
     _stamp_parser,
     chronological_split,
-    fit_scaler,
     generate_synthetic_multienergy,
     load_csv,
     save_csv,
@@ -96,7 +95,6 @@ class RunConfig:
     d_model: int = 512
     n_heads: int = 8
     d_k: int | None = None
-    d_v: int | None = None
     d_ff: int | None = None
     e_layers: int = 2
     d_layers: int = 1
@@ -122,7 +120,6 @@ class RunConfig:
             d_model=self.d_model,
             n_heads=self.n_heads,
             d_k=self.d_k,
-            d_v=self.d_v,
             d_ff=self.d_ff,
             n_encoder_layers=self.e_layers,
             n_decoder_layers=self.d_layers,
@@ -144,7 +141,7 @@ class RunConfig:
         )
 
 
-_OPTIONAL_INT_FIELDS = {"d_k", "d_v", "d_ff"}
+_OPTIONAL_INT_FIELDS = {"d_k", "d_ff"}
 
 
 def _coerce_field(name: str, raw: str):
@@ -253,6 +250,12 @@ class ResultsTable:
                 )
         return table
 
+    def write(self, out_dir) -> None:
+        """Write ``results.csv`` and its rendered twin ``results.txt`` into ``out_dir``."""
+        out_dir = Path(out_dir)
+        self.to_csv(out_dir / "results.csv")
+        (out_dir / "results.txt").write_text(self.render_text(), encoding="utf-8")
+
     def render_text(self) -> str:
         rows = [
             (r[0], r[1], str(r[2]), r[3], f"{r[4]:.6f}", f"{r[5]:.6f}") for r in self.rows()
@@ -296,7 +299,7 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         raise ConfigError("all_at_once mode needs a channel subset of two or more")
     min_len = cfg.seq_len + cfg.pred_len
     train_raw, val_raw, test_raw = chronological_split(table, SPLIT_RATIOS, min_len=min_len)
-    scaler = fit_scaler(train_raw)
+    scaler = Scaler.fit(train_raw.values, channel_names=train_raw.channel_names)
     return PreparedData(
         dataset_name=name,
         channel_names=list(table.channel_names),
@@ -346,27 +349,21 @@ def run_train(cfg: RunConfig, write_files: bool = True) -> TrainOutputs:
 
     result = train(model, prepared.train, prepared.val, cfg.train_config())
 
-    checkpoint_path = best_path = None
     if write_files:
         write_loss_trace(result.trace, out_dir / "loss_trace.csv")
-        checkpoint_path = save_checkpoint(
-            model,
-            out_dir / "model.npz",
-            scaler_mean=prepared.scaler.mean,
-            scaler_std=prepared.scaler.std,
-            channel_names=prepared.channel_names,
-            extra={"dataset": prepared.dataset_name, "best_epoch": result.best_epoch},
-        )
-    model.store.load_state_dict(result.best_state)
-    if write_files:
-        best_path = save_checkpoint(
-            model,
-            out_dir / "model_best.npz",
-            scaler_mean=prepared.scaler.mean,
-            scaler_std=prepared.scaler.std,
-            channel_names=prepared.channel_names,
-            extra={"dataset": prepared.dataset_name, "best_epoch": result.best_epoch},
-        )
+    # The model is left holding the best weights, the last state loaded.
+    saved = {}
+    for name, state in (("model.npz", result.final_state), ("model_best.npz", result.best_state)):
+        model.store.load_state_dict(state)
+        if write_files:
+            saved[name] = save_checkpoint(
+                model,
+                out_dir / name,
+                scaler_mean=prepared.scaler.mean,
+                scaler_std=prepared.scaler.std,
+                channel_names=prepared.channel_names,
+                extra={"dataset": prepared.dataset_name, "best_epoch": result.best_epoch},
+            )
 
     test_report = evaluate(model, prepared.test)
     baseline = repeat_last_report(prepared.test, cfg.seq_len, cfg.pred_len)
@@ -374,8 +371,7 @@ def run_train(cfg: RunConfig, write_files: bool = True) -> TrainOutputs:
         results = ResultsTable()
         results.add(prepared.dataset_name, "patchformer", cfg.pred_len, cfg.mode, test_report)
         results.add(prepared.dataset_name, "repeat_last", cfg.pred_len, cfg.mode, baseline)
-        results.to_csv(out_dir / "results.csv")
-        (out_dir / "results.txt").write_text(results.render_text(), encoding="utf-8")
+        results.write(out_dir)
     return TrainOutputs(
         config=cfg,
         result=result,
@@ -383,8 +379,8 @@ def run_train(cfg: RunConfig, write_files: bool = True) -> TrainOutputs:
         data=prepared,
         test_report=test_report,
         baseline_report=baseline,
-        checkpoint_path=checkpoint_path,
-        best_checkpoint_path=best_path,
+        checkpoint_path=saved.get("model.npz"),
+        best_checkpoint_path=saved.get("model_best.npz"),
     )
 
 
@@ -414,8 +410,7 @@ def run_lookback_sweep(
             results.add(dataset, f"patchformer_I{lookback}", pred_len, cfg.mode, outputs.test_report)
             results.add(dataset, f"repeat_last_I{lookback}", pred_len, cfg.mode, outputs.baseline_report)
     if write_files:
-        results.to_csv(out_dir / "results.csv")
-        (out_dir / "results.txt").write_text(results.render_text(), encoding="utf-8")
+        results.write(out_dir)
     return results
 
 
@@ -457,8 +452,7 @@ def run_protocol_comparison(
     results.add(dataset, "patchformer", cfg.pred_len, "average", average_reports(single_reports))
     results.add(dataset, "repeat_last", cfg.pred_len, "average", average_reports(single_baselines))
     if write_files:
-        results.to_csv(out_dir / "results.csv")
-        (out_dir / "results.txt").write_text(results.render_text(), encoding="utf-8")
+        results.write(out_dir)
     return results
 
 
@@ -507,9 +501,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         name, table = _load_table(cfg)
         if bundle.channel_names is not None:
             table = table.select_channels(bundle.channel_names)
-        if bundle.scaler_mean is None:
-            raise ConfigError(f"checkpoint {checkpoint_path} carries no scaler state")
-        scaler = Scaler(mean=bundle.scaler_mean, std=bundle.scaler_std)
+        scaler = bundle.scaler()
         min_len = model.cfg.seq_len + model.cfg.pred_len
         _, _, test_raw = chronological_split(table, SPLIT_RATIOS, min_len=min_len)
         test = scaler.transform_table(test_raw)
@@ -522,8 +514,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"(baseline mse {baseline.mse:.6f})"
         )
     write_manifest(cfg, "evaluate", out_dir, {"checkpoints": list(args.checkpoint)})
-    results.to_csv(out_dir / "results.csv")
-    (out_dir / "results.txt").write_text(results.render_text(), encoding="utf-8")
+    results.write(out_dir)
     print(f"results in {out_dir}")
     return EXIT_OK
 
@@ -587,9 +578,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             f"forecast window must have exactly {model.cfg.seq_len} rows, "
             f"got {window.n_steps}"
         )
-    if bundle.scaler_mean is None:
-        raise ConfigError(f"checkpoint {args.checkpoint} carries no scaler state")
-    scaler = Scaler(mean=bundle.scaler_mean, std=bundle.scaler_std)
+    scaler = bundle.scaler()
     scaled = scaler.transform(window.values)
     prediction = scaler.inverse(model.forward(scaled))
     stamps = _extrapolate_stamps(window.timestamps, model.cfg.pred_len)
@@ -713,7 +702,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, include_model: bool = Tru
     model.add_argument("--d-model", type=int, dest="d_model")
     model.add_argument("--n-heads", type=int, dest="n_heads")
     model.add_argument("--d-k", type=int, dest="d_k")
-    model.add_argument("--d-v", type=int, dest="d_v")
     model.add_argument("--d-ff", type=int, dest="d_ff")
     model.add_argument("--e-layers", type=int, dest="e_layers")
     model.add_argument("--d-layers", type=int, dest="d_layers")

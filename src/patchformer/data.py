@@ -4,6 +4,13 @@ The on-disk format is a plain UTF-8 CSV with a header row whose first column
 is ``date``; every other column is one numeric channel.  Timestamps must be
 strictly increasing and no cell may be empty or non-numeric; violations are
 reported with the offending row and column rather than silently patched.
+
+``Scaler`` is the one z-score transform: ``Scaler.fit`` on the training
+split, then ``transform``/``inverse`` on arrays or ``transform_table`` on a
+table.  ``make_windows`` cuts a table into every stride-1 forecasting window
+as one read-only (N, seq_len + pred_len, C) view of its values; window i
+starts at row i, and callers index it by origin instead of building one
+object per window.
 """
 
 from __future__ import annotations
@@ -26,12 +33,7 @@ __all__ = [
     "save_csv",
     "chronological_split",
     "Scaler",
-    "fit_scaler",
-    "apply_scaler",
-    "invert_scaler",
-    "WindowSample",
     "make_windows",
-    "build_decoder_input",
     "SyntheticSpec",
     "generate_synthetic_multienergy",
     "BASE_CHANNELS",
@@ -45,7 +47,6 @@ class TimeSeriesTable:
     timestamps: list[str]
     values: np.ndarray
     channel_names: list[str]
-    target_channel: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -62,10 +63,6 @@ class TimeSeriesTable:
             )
         if len(set(self.channel_names)) != len(self.channel_names):
             raise DataError(f"duplicate channel names: {self.channel_names}")
-        if self.target_channel is not None and self.target_channel not in self.channel_names:
-            raise ConfigError(
-                f"target channel {self.target_channel!r} not in {self.channel_names}"
-            )
 
     @property
     def n_steps(self) -> int:
@@ -85,12 +82,10 @@ class TimeSeriesTable:
 
     def select_channels(self, names: list[str]) -> "TimeSeriesTable":
         idx = [self.channel_index(n) for n in names]
-        target = self.target_channel if self.target_channel in names else None
         return TimeSeriesTable(
             timestamps=list(self.timestamps),
             values=self.values[:, idx].copy(),
             channel_names=list(names),
-            target_channel=target,
         )
 
     def slice_rows(self, start: int, stop: int) -> "TimeSeriesTable":
@@ -98,7 +93,6 @@ class TimeSeriesTable:
             timestamps=self.timestamps[start:stop],
             values=self.values[start:stop].copy(),
             channel_names=list(self.channel_names),
-            target_channel=self.target_channel,
         )
 
 
@@ -278,52 +272,16 @@ class Scaler:
             timestamps=list(table.timestamps),
             values=self.transform(table.values),
             channel_names=list(table.channel_names),
-            target_channel=table.target_channel,
-        )
-
-    def inverse_table(self, table: TimeSeriesTable) -> TimeSeriesTable:
-        return TimeSeriesTable(
-            timestamps=list(table.timestamps),
-            values=self.inverse(table.values),
-            channel_names=list(table.channel_names),
-            target_channel=table.target_channel,
         )
 
 
-def fit_scaler(train_table: TimeSeriesTable) -> Scaler:
-    """Per-channel z-score statistics from the training split only."""
-    return Scaler.fit(train_table.values, channel_names=train_table.channel_names)
+def make_windows(table: TimeSeriesTable, seq_len: int, pred_len: int) -> np.ndarray:
+    """Every stride-1 window fully inside the table, as one read-only view.
 
-
-def apply_scaler(table: TimeSeriesTable, scaler: Scaler) -> TimeSeriesTable:
-    return scaler.transform_table(table)
-
-
-def invert_scaler(table: TimeSeriesTable, scaler: Scaler) -> TimeSeriesTable:
-    return scaler.inverse_table(table)
-
-
-@dataclass
-class WindowSample:
-    """One training example: a lookback window and the horizon that follows it."""
-
-    enc_input: np.ndarray  # (seq_len, C)
-    target: np.ndarray  # (pred_len, C)
-    origin: int  # row index of the first lookback step
-
-    @property
-    def last_value(self) -> np.ndarray:
-        return self.enc_input[-1]
-
-    @property
-    def dec_known(self) -> np.ndarray:
-        """The second half of the lookback, the part the decoder sees as given."""
-        seq_len = self.enc_input.shape[0]
-        return self.enc_input[seq_len - seq_len // 2 :]
-
-
-def make_windows(table: TimeSeriesTable, seq_len: int, pred_len: int) -> list[WindowSample]:
-    """Every stride-1 window fully inside the table, ordered by origin."""
+    The result is (N, seq_len + pred_len, C) with N = T - seq_len - pred_len + 1;
+    window i starts at row i, its first ``seq_len`` rows are the lookback and
+    the rest the horizon.  No value is copied.
+    """
     if seq_len < 1 or pred_len < 1:
         raise ConfigError(f"seq_len and pred_len must be positive, got {seq_len}, {pred_len}")
     total = seq_len + pred_len
@@ -332,29 +290,8 @@ def make_windows(table: TimeSeriesTable, seq_len: int, pred_len: int) -> list[Wi
             f"table with {table.n_steps} rows cannot fit a window of "
             f"{seq_len} lookback + {pred_len} horizon steps"
         )
-    values = table.values
-    return [
-        WindowSample(
-            enc_input=values[start : start + seq_len],
-            target=values[start + seq_len : start + total],
-            origin=start,
-        )
-        for start in range(table.n_steps - total + 1)
-    ]
-
-
-def build_decoder_input(enc_input: np.ndarray, pred_len: int) -> np.ndarray:
-    """Known half of the lookback plus zero placeholders, per channel.
-
-    Mirrors what the model assembles internally; exposed so the construction
-    can be inspected and tested against the in-graph version.
-    """
-    enc_input = np.asarray(enc_input, dtype=np.float64)
-    if enc_input.ndim != 2:
-        raise ShapeError(f"decoder input builder expects (seq_len, C), got {enc_input.shape}")
-    seq_len, channels = enc_input.shape
-    label = enc_input[seq_len - seq_len // 2 :]
-    return np.concatenate([label, np.zeros((pred_len, channels))], axis=0)
+    windows = np.lib.stride_tricks.sliding_window_view(table.values, total, axis=0)
+    return windows.transpose(0, 2, 1)
 
 
 BASE_CHANNELS = ("electricity", "gas", "heat", "renewables", "ghg")

@@ -4,14 +4,14 @@ A length-I series is extended with ``stride`` copies of its final value and
 then cut into overlapping windows of ``patch_len`` every ``stride`` steps,
 giving Z = floor((I - patch_len) / stride) + 2 patch rows.  Each row is
 projected by a shared linear map and offset by a learnable position vector;
-the same tables serve every channel.
+the same tables serve every channel.  ``patch_embed`` is the only patcher: it
+pads with ``tensor.pad_last`` and cuts with ``tensor.unfold_windows``, both
+graph ops, so the patches stay differentiable in the series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
 from .params import ParameterStore
@@ -19,11 +19,8 @@ from .tensor import Tensor, pad_last, unfold_windows
 
 __all__ = [
     "PatchConfig",
-    "PatchGrid",
     "EmbeddingParams",
     "compute_patch_count",
-    "pad_series",
-    "patch_series",
     "patch_embed",
 ]
 
@@ -60,50 +57,6 @@ def compute_patch_count(series_len: int, cfg: PatchConfig) -> int:
             f"series of length {series_len} is shorter than patch_len {cfg.patch_len}"
         )
     return (series_len - cfg.patch_len) // cfg.stride + 2
-
-
-def pad_series(x: np.ndarray, pad_count: int) -> np.ndarray:
-    """Append ``pad_count`` copies of the last value along the final axis."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError(f"cannot pad an empty series of shape {x.shape}")
-    if pad_count < 0:
-        raise ShapeError(f"pad count must be non-negative, got {pad_count}")
-    if pad_count == 0:
-        return x.copy()
-    tail = np.repeat(x[..., -1:], pad_count, axis=-1)
-    return np.concatenate([x, tail], axis=-1)
-
-
-@dataclass
-class PatchGrid:
-    """The (Z, patch_len) value matrix cut from one padded series."""
-
-    values: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def patch_len(self) -> int:
-        return self.values.shape[1]
-
-
-def patch_series(x: np.ndarray, cfg: PatchConfig) -> PatchGrid:
-    """Cut a 1-d series into its padded patch grid (plain arrays, no autodiff)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"patch_series expects a 1-d series, got shape {x.shape}")
-    expected = compute_patch_count(x.shape[0], cfg)
-    padded = pad_series(x, cfg.stride)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.patch_len)
-    values = np.ascontiguousarray(windows[:: cfg.stride])
-    if values.shape[0] != expected:
-        raise ShapeError(
-            f"internal patch count mismatch: built {values.shape[0]}, expected {expected}"
-        )
-    return PatchGrid(values=values)
 
 
 @dataclass

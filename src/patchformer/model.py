@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttentionConfig, AttentionParams, multi_head_attention
+from .data import Scaler
 from .embedding import EmbeddingParams, PatchConfig, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
@@ -60,7 +61,6 @@ class ModelConfig:
     d_model: int = 512
     n_heads: int = 8
     d_k: int | None = None
-    d_v: int | None = None
     d_ff: int | None = None
     n_encoder_layers: int = 2
     n_decoder_layers: int = 1
@@ -107,9 +107,7 @@ class ModelConfig:
 
     @property
     def attention(self) -> AttentionConfig:
-        return AttentionConfig(
-            d_model=self.d_model, n_heads=self.n_heads, d_k=self.d_k, d_v=self.d_v
-        )
+        return AttentionConfig(d_model=self.d_model, n_heads=self.n_heads, d_k=self.d_k)
 
     @property
     def patching(self) -> PatchConfig:
@@ -371,6 +369,13 @@ class Checkpoint:
     scaler_std: np.ndarray | None
     channel_names: list[str] | None
     extra: dict
+    path: Path
+
+    def scaler(self) -> Scaler:
+        """The z-scaler saved with the weights; ``ConfigError`` when there is none."""
+        if self.scaler_mean is None:
+            raise ConfigError(f"checkpoint {self.path} carries no scaler state")
+        return Scaler(mean=self.scaler_mean, std=self.scaler_std)
 
 
 def _check_channel_state(path, n_channels, channel_names, scaler_mean, scaler_std) -> None:
@@ -443,7 +448,13 @@ def load_checkpoint(path) -> Checkpoint:
         }
         scaler_mean = bundle["scaler.mean"] if "scaler.mean" in bundle else None
         scaler_std = bundle["scaler.std"] if "scaler.std" in bundle else None
-    cfg = ModelConfig(**meta["config"])
+    config = dict(meta["config"])
+    # Format 1 files from before the value width was fixed at d_model carry
+    # "d_v": null; any other value describes a model this code cannot build.
+    narrowed = config.pop("d_v", None)
+    if narrowed is not None:
+        raise DataError(f"{path}: unsupported d_v={narrowed!r}; values are d_model wide")
+    cfg = ModelConfig(**config)
     channel_names = meta.get("channel_names")
     _check_channel_state(path, cfg.n_channels, channel_names, scaler_mean, scaler_std)
     model = PatchformerModel.build(cfg)
@@ -454,4 +465,5 @@ def load_checkpoint(path) -> Checkpoint:
         scaler_std=scaler_std,
         channel_names=channel_names,
         extra=meta.get("extra", {}),
+        path=path,
     )

@@ -535,8 +535,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         g_normed = g * gamma.data
         # normed = centered / (std + eps) with std = sqrt(mean(centered**2)),
         # and centering subtracts the block mean.
+        # A constant block has std 0 and centred values of exactly 0, so its
+        # std term is 0 rather than 0 / 0.
         g_denom = -(g_normed * normed).sum(axis=axes, keepdims=True) / denom
-        g_centered = g_normed / denom + centered * (g_denom * inv_n / std)
+        g_std = np.divide(g_denom * inv_n, std, out=np.zeros_like(std), where=std != 0)
+        g_centered = g_normed / denom + centered * g_std
         gx = g_centered - g_centered.sum(axis=axes, keepdims=True) * inv_n
         return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
 
@@ -585,11 +588,11 @@ def attention_core(
     else:
         applied = np.multiply(weights, keep.transpose((0, 2, 1, 3)), out=np.empty_like(weights))
     stacked = applied.reshape(b, z_q * h, z_kv)
-    d_v = x_kv.shape[2]
-    merged = np.matmul(stacked, x_kv.data).reshape(b, z_q, h * d_v)
+    d_kv = x_kv.shape[2]
+    merged = np.matmul(stacked, x_kv.data).reshape(b, z_q, h * d_kv)
 
     def vjp(g):
-        g_stacked = g.reshape(b, z_q * h, d_v)
+        g_stacked = g.reshape(b, z_q * h, d_kv)
         g_x_kv = np.matmul(stacked.transpose((0, 2, 1)), g_stacked)
         g_w = np.matmul(g_stacked, x_kv.data.transpose((0, 2, 1))).reshape(b, z_q, h, z_kv)
         if keep is not None:

@@ -1,9 +1,10 @@
 """Loss functions, Adam, the training loop, and order-stable evaluation.
 
 Training minimises mean squared error over the forecast horizon only; both
-MSE and MAE are reported.  Evaluation accumulates per-window partial sums and
-reduces them in origin order, so the reported metrics do not depend on how
-windows were batched or shuffled.
+MSE and MAE are reported.  Model evaluation and the repeat-last baseline
+share one scoring loop: it walks the windows of one ``make_windows`` view in
+origin order, a batch at a time, and reduces the per-window partial sums in
+that order, so the reported metrics do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TimeSeriesTable, WindowSample, make_windows
+from .data import TimeSeriesTable, make_windows
 from .errors import ConfigError, ShapeError, TrainingError
 from .model import PatchformerModel
 from .params import ParameterStore, Rng, read_only
@@ -30,7 +31,6 @@ __all__ = [
     "MetricReport",
     "average_reports",
     "evaluate",
-    "evaluate_windows",
     "repeat_last_report",
     "TrainConfig",
     "TraceRow",
@@ -122,14 +122,6 @@ class MetricReport:
     n_windows: int
     n_points: int
 
-    def as_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "mae": self.mae,
-            "n_windows": self.n_windows,
-            "n_points": self.n_points,
-        }
-
 
 def average_reports(reports: list[MetricReport]) -> MetricReport:
     """Unweighted mean of per-run metrics, as used for per-channel averaging."""
@@ -143,41 +135,31 @@ def average_reports(reports: list[MetricReport]) -> MetricReport:
     )
 
 
-def _reduce_partials(
-    sse: np.ndarray, sae: np.ndarray, n_windows: int, points_per_window: int
-) -> MetricReport:
-    total = n_windows * points_per_window
+def _score(windows: np.ndarray, seq_len: int, predict, batch_size: int = 64) -> MetricReport:
+    """Errors of ``predict`` over a ``make_windows`` view, one batch at a time.
+
+    ``predict`` maps a (B, seq_len, C) lookback batch to a forecast that
+    broadcasts against the (B, pred_len, C) horizon.  Windows are taken in
+    origin order and their per-window sums are reduced in that order, so
+    only one batch of errors is held at a time.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
+    n = windows.shape[0]
+    sse = np.empty(n)
+    sae = np.empty(n)
+    for start in range(0, n, batch_size):
+        batch = windows[start : start + batch_size]
+        err = predict(batch[:, :seq_len]) - batch[:, seq_len:]
+        sse[start : start + len(batch)] = (err * err).sum(axis=(1, 2))
+        sae[start : start + len(batch)] = np.abs(err).sum(axis=(1, 2))
+    total = n * windows[0, seq_len:].size
     return MetricReport(
         mse=float(np.add.reduce(sse) / total),
         mae=float(np.add.reduce(sae) / total),
-        n_windows=n_windows,
+        n_windows=n,
         n_points=total,
     )
-
-
-def evaluate_windows(
-    model: PatchformerModel, windows: list[WindowSample], batch_size: int = 64
-) -> MetricReport:
-    """Evaluate explicit windows; the result ignores their incoming order."""
-    if not windows:
-        raise ConfigError("evaluate needs at least one window")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
-    ordered = sorted(windows, key=lambda w: w.origin)
-    n = len(ordered)
-    sse = np.zeros(n)
-    sae = np.zeros(n)
-    with no_grad():
-        for start in range(0, n, batch_size):
-            chunk = ordered[start : start + batch_size]
-            x = np.stack([w.enc_input for w in chunk])
-            y = np.stack([w.target for w in chunk])
-            pred = model.forward_batch(x).data
-            err = pred - y
-            sse[start : start + len(chunk)] = (err * err).sum(axis=(1, 2))
-            sae[start : start + len(chunk)] = np.abs(err).sum(axis=(1, 2))
-    per_window = ordered[0].target.size
-    return _reduce_partials(sse, sae, n, per_window)
 
 
 def evaluate(
@@ -198,7 +180,10 @@ def evaluate(
             f"model expects {model.cfg.n_channels} channels, table has {table.n_channels}"
         )
     windows = make_windows(table, model.cfg.seq_len, model.cfg.pred_len)
-    return evaluate_windows(model, windows, batch_size=batch_size)
+    with no_grad():
+        return _score(
+            windows, model.cfg.seq_len, lambda x: model.forward_batch(x).data, batch_size
+        )
 
 
 def repeat_last_report(
@@ -206,14 +191,7 @@ def repeat_last_report(
 ) -> MetricReport:
     """Baseline that repeats each window's final observation across the horizon."""
     windows = make_windows(table, seq_len, pred_len)
-    n = len(windows)
-    sse = np.zeros(n)
-    sae = np.zeros(n)
-    for i, w in enumerate(windows):
-        err = w.last_value[None, :] - w.target
-        sse[i] = (err * err).sum()
-        sae[i] = np.abs(err).sum()
-    return _reduce_partials(sse, sae, n, windows[0].target.size)
+    return _score(windows, seq_len, lambda x: x[:, -1:])
 
 
 @dataclass(frozen=True)
@@ -290,16 +268,17 @@ def train(
     best_epoch = -1
     best_score = math.inf
     best_state: dict[str, np.ndarray] = {}
-    n = len(windows)
+    n = windows.shape[0]
+    seq_len = model.cfg.seq_len
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
         sum_sq = 0.0
         sum_abs = 0.0
         seen = 0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            chunk = [windows[i] for i in order[start : start + cfg.batch_size]]
-            x = np.stack([w.enc_input for w in chunk])
-            y = np.stack([w.target for w in chunk])
+            picked = order[start : start + cfg.batch_size]
+            x = windows[picked, :seq_len]
+            y = windows[picked, seq_len:]
             model.store.zero_grads()
             pred = model.forward_batch(
                 x,

@@ -1,4 +1,4 @@
-"""Tests for scaled dot-product attention and the multi-head wrapper."""
+"""Tests for the attention core, one head at a time, and the multi-head wrapper."""
 
 from dataclasses import replace
 
@@ -18,9 +18,9 @@ from patchformer import (
     mse_loss,
     multi_head_attention,
     no_grad,
-    scaled_dot_attention,
 )
 from patchformer.errors import ConfigError, ShapeError
+from patchformer.tensor import attention_core
 
 
 def make_params(cfg: AttentionConfig, seed=0):
@@ -29,65 +29,73 @@ def make_params(cfg: AttentionConfig, seed=0):
 
 
 # -- single-head mechanics -------------------------------------------------------
+#
+# One head is ``attention_core`` with n_heads=1 on (1, Z, d) operands: the
+# third operand plays the value rows, and the core returns (out, weights).
+
+
+def single_head(q, k, v):
+    out, weights = attention_core(*(Tensor(np.asarray(t)[None]) for t in (q, k, v)), 1)
+    return out.data[0], weights[0, 0]
 
 
 def test_single_key_returns_value_row(rng_np):
-    q = Tensor(rng_np.normal(size=(3, 4)))
-    k = Tensor(rng_np.normal(size=(1, 4)))
-    v = Tensor(rng_np.normal(size=(1, 6)))
-    out = scaled_dot_attention(q, k, v)
-    np.testing.assert_array_equal(out.data, np.broadcast_to(v.data, (3, 6)))
+    q = rng_np.normal(size=(3, 4))
+    k = rng_np.normal(size=(1, 4))
+    v = rng_np.normal(size=(1, 6))
+    out, _ = single_head(q, k, v)
+    np.testing.assert_array_equal(out, np.broadcast_to(v, (3, 6)))
 
 
 def test_identical_keys_average_values(rng_np):
-    q = Tensor(rng_np.normal(size=(2, 4)))
-    k = Tensor(np.tile(rng_np.normal(size=(1, 4)), (5, 1)))
-    v = Tensor(rng_np.normal(size=(5, 3)))
-    out = scaled_dot_attention(q, k, v)
-    np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
+    q = rng_np.normal(size=(2, 4))
+    k = np.tile(rng_np.normal(size=(1, 4)), (5, 1))
+    v = rng_np.normal(size=(5, 3))
+    out, _ = single_head(q, k, v)
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_zero_query_gives_uniform_weights(rng_np):
-    q = Tensor(np.zeros((2, 4)))
-    k = Tensor(rng_np.normal(size=(5, 4)))
-    v = Tensor(rng_np.normal(size=(5, 3)))
-    out, weights = scaled_dot_attention(q, k, v, return_weights=True)
-    np.testing.assert_allclose(weights.data, np.full((2, 5), 0.2), atol=1e-12)
-    np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
+    q = np.zeros((2, 4))
+    k = rng_np.normal(size=(5, 4))
+    v = rng_np.normal(size=(5, 3))
+    out, weights = single_head(q, k, v)
+    np.testing.assert_allclose(weights, np.full((2, 5), 0.2), atol=1e-12)
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_weights_are_row_stochastic(rng_np):
-    q = Tensor(rng_np.normal(size=(4, 6)) * 3)
-    k = Tensor(rng_np.normal(size=(7, 6)) * 3)
-    v = Tensor(rng_np.normal(size=(7, 2)))
-    _, weights = scaled_dot_attention(q, k, v, return_weights=True)
+    q = rng_np.normal(size=(4, 6)) * 3
+    k = rng_np.normal(size=(7, 6)) * 3
+    v = rng_np.normal(size=(7, 2))
+    _, weights = single_head(q, k, v)
     assert weights.shape == (4, 7)
-    assert np.all(weights.data >= 0)
-    np.testing.assert_allclose(weights.data.sum(axis=-1), np.ones(4), atol=1e-12)
+    assert np.all(weights >= 0)
+    np.testing.assert_allclose(weights.sum(axis=-1), np.ones(4), atol=1e-12)
 
 
 def test_sharp_logits_select_best_key():
-    q = Tensor(np.array([[100.0, 0.0]]))
-    k = Tensor(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    v = Tensor(np.array([[5.0], [9.0]]))
-    out = scaled_dot_attention(q, k, v)
-    np.testing.assert_allclose(out.data, [[5.0]], atol=1e-12)
+    q = np.array([[100.0, 0.0]])
+    k = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    v = np.array([[5.0], [9.0]])
+    out, _ = single_head(q, k, v)
+    np.testing.assert_allclose(out, [[5.0]], atol=1e-12)
 
 
 def test_kv_mismatch_rejected(rng_np):
-    q = Tensor(rng_np.normal(size=(3, 4)))
-    k = Tensor(rng_np.normal(size=(5, 4)))
-    v = Tensor(rng_np.normal(size=(4, 2)))
+    q = rng_np.normal(size=(3, 4))
+    k = rng_np.normal(size=(5, 4))
+    v = rng_np.normal(size=(4, 2))
     with pytest.raises(ShapeError):
-        scaled_dot_attention(q, k, v)
+        single_head(q, k, v)
 
 
 def test_qk_width_mismatch_rejected(rng_np):
-    q = Tensor(rng_np.normal(size=(3, 4)))
-    k = Tensor(rng_np.normal(size=(5, 6)))
-    v = Tensor(rng_np.normal(size=(5, 2)))
+    q = rng_np.normal(size=(3, 4))
+    k = rng_np.normal(size=(5, 6))
+    v = rng_np.normal(size=(5, 2))
     with pytest.raises(ShapeError):
-        scaled_dot_attention(q, k, v)
+        single_head(q, k, v)
 
 
 # -- permutation structure -------------------------------------------------------
@@ -96,22 +104,22 @@ def test_qk_width_mismatch_rejected(rng_np):
 def test_query_permutation_equivariance(rng_np):
     """Reordering queries reorders outputs identically (no causal mask)."""
     q = rng_np.normal(size=(6, 4))
-    k = Tensor(rng_np.normal(size=(5, 4)))
-    v = Tensor(rng_np.normal(size=(5, 3)))
+    k = rng_np.normal(size=(5, 4))
+    v = rng_np.normal(size=(5, 3))
     perm = rng_np.permutation(6)
-    base = scaled_dot_attention(Tensor(q), k, v).data
-    shuffled = scaled_dot_attention(Tensor(q[perm]), k, v).data
+    base, _ = single_head(q, k, v)
+    shuffled, _ = single_head(q[perm], k, v)
     np.testing.assert_array_equal(shuffled, base[perm])
 
 
 def test_key_value_permutation_invariance(rng_np):
     """Attention is a set operation over (key, value) pairs."""
-    q = Tensor(rng_np.normal(size=(3, 4)))
+    q = rng_np.normal(size=(3, 4))
     k = rng_np.normal(size=(5, 4))
     v = rng_np.normal(size=(5, 3))
     perm = rng_np.permutation(5)
-    base = scaled_dot_attention(q, Tensor(k), Tensor(v)).data
-    shuffled = scaled_dot_attention(q, Tensor(k[perm]), Tensor(v[perm])).data
+    base, _ = single_head(q, k, v)
+    shuffled, _ = single_head(q, k[perm], v[perm])
     np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
 
@@ -121,12 +129,10 @@ def test_key_value_permutation_invariance(rng_np):
 def test_config_defaults_and_divisibility():
     cfg = AttentionConfig(d_model=8, n_heads=2)
     assert cfg.head_dim_k == 4
-    assert cfg.head_dim_v == 8
     with pytest.raises(ConfigError):
         AttentionConfig(d_model=6, n_heads=4).head_dim_k
-    explicit = AttentionConfig(d_model=6, n_heads=4, d_k=3, d_v=5)
+    explicit = AttentionConfig(d_model=6, n_heads=4, d_k=3)
     assert explicit.head_dim_k == 3
-    assert explicit.head_dim_v == 5
 
 
 def test_multi_head_output_shape(rng_np):
@@ -154,16 +160,16 @@ def test_multi_head_matches_manual_per_head_loop(rng_np):
     x_kv = rng_np.normal(size=(7, 8))
     out = multi_head_attention(Tensor(x_q), Tensor(x_kv), params).data
 
-    d_k, d_v, heads = cfg.head_dim_k, cfg.head_dim_v, cfg.n_heads
+    d_k, d_v, heads = cfg.head_dim_k, cfg.d_model, cfg.n_heads
     per_head = []
     for h in range(heads):
         wq = params.w_query.data[:, h * d_k : (h + 1) * d_k]
         wk = params.w_key.data[:, h * d_k : (h + 1) * d_k]
         wv = params.w_value.data[:, h * d_v : (h + 1) * d_v]
-        head_out = scaled_dot_attention(
-            Tensor(x_q @ wq), Tensor(x_kv @ wk), Tensor(x_kv @ wv)
-        ).data
-        per_head.append(head_out)
+        scores = (x_q @ wq) @ (x_kv @ wk).T / np.sqrt(d_k)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        per_head.append(weights @ (x_kv @ wv))
     manual = np.concatenate(per_head, axis=-1) @ params.w_out.data
     np.testing.assert_allclose(out, manual, atol=1e-12)
 

@@ -8,9 +8,7 @@ from patchformer import (
     Scaler,
     SyntheticSpec,
     TimeSeriesTable,
-    build_decoder_input,
     chronological_split,
-    fit_scaler,
     generate_synthetic_multienergy,
     load_csv,
     make_windows,
@@ -214,7 +212,7 @@ def test_scaler_centres_flat_channel_without_scaling(rng_np, level):
         timestamps=[str(i) for i in range(1000)], values=values, channel_names=["flat", "live"]
     )
     with pytest.warns(ConstantChannelWarning, match=r"channel 0 \('flat'\)") as caught:
-        scaler = fit_scaler(table)
+        scaler = Scaler.fit(table.values, channel_names=table.channel_names)
     assert [(w.message.index, w.message.name) for w in caught] == [(0, "flat")]
     assert scaler.std[0] == 1.0
     # the fit mean of a level near 1e9 carries rounding error of about 1e-5
@@ -243,14 +241,14 @@ def test_scaler_is_per_channel(rng_np):
 def test_make_windows_count_and_content():
     table = make_table(10, 1)
     windows = make_windows(table, seq_len=4, pred_len=2)
-    assert len(windows) == 5
+    assert windows.shape == (5, 6, 1)
     first = windows[0]
-    np.testing.assert_array_equal(first.enc_input, table.values[0:4])
-    np.testing.assert_array_equal(first.target, table.values[4:6])
-    assert first.origin == 0
+    np.testing.assert_array_equal(first[:4], table.values[0:4])
+    np.testing.assert_array_equal(first[4:], table.values[4:6])
+    # window i starts at row i, so the last one starts at row 4
     last = windows[-1]
-    assert last.origin == 4
-    np.testing.assert_array_equal(last.target, table.values[8:10])
+    np.testing.assert_array_equal(last, table.values[4:10])
+    np.testing.assert_array_equal(last[4:], table.values[8:10])
 
 
 def test_make_windows_exact_fit_gives_one():
@@ -264,18 +262,14 @@ def test_make_windows_too_short_raises():
 
 
 def test_window_helpers():
+    """The windows are a read-only view of the table; row seq_len - 1 is the last input."""
     table = make_table(10, 2)
-    window = make_windows(table, seq_len=4, pred_len=2)[0]
-    np.testing.assert_array_equal(window.last_value, table.values[3])
-    np.testing.assert_array_equal(window.dec_known, table.values[2:4])
-
-
-def test_build_decoder_input_mirror():
-    enc = np.arange(8.0).reshape(4, 2)
-    dec = build_decoder_input(enc, pred_len=3)
-    assert dec.shape == (5, 2)
-    np.testing.assert_array_equal(dec[:2], enc[2:])
-    np.testing.assert_array_equal(dec[2:], np.zeros((3, 2)))
+    windows = make_windows(table, seq_len=4, pred_len=2)
+    np.testing.assert_array_equal(windows[0, 3], table.values[3])
+    assert np.shares_memory(windows, table.values)
+    assert not windows.flags.writeable
+    with pytest.raises(ValueError):
+        windows[0, 0, 0] = 1.0
 
 
 # -- synthetic generator ----------------------------------------------------------

@@ -14,9 +14,9 @@ from patchformer import (
     PatchConfig,
     Tensor,
     compute_patch_count,
-    pad_series,
+    pad_last,
     patch_embed,
-    patch_series,
+    unfold_windows,
 )
 from patchformer.errors import CapacityError, ConfigError, ShapeError
 
@@ -64,17 +64,22 @@ def test_patch_count_brute_force_property(rng_np):
 # -- slicing ----------------------------------------------------------------------
 
 
+def patch_grid(x, geometry: PatchConfig) -> np.ndarray:
+    """The (Z, patch_len) grid ``patch_embed`` projects: pad, then unfold."""
+    padded = pad_last(Tensor(x), geometry.stride)
+    return unfold_windows(padded, geometry.patch_len, geometry.stride).data
+
+
 def test_pad_series_repeats_last_value():
-    out = pad_series(np.array([1.0, 2.0, 3.0]), 2)
+    out = pad_last(Tensor(np.array([1.0, 2.0, 3.0])), 2).data
     assert out.tolist() == [1.0, 2.0, 3.0, 3.0, 3.0]
 
 
 def test_patch_series_oracle():
     geometry = cfg(patch_len=4, stride=2, max_patches=16)
-    grid = patch_series(np.arange(1.0, 11.0), geometry)
-    assert grid.rows == 5
-    assert grid.patch_len == 4
-    assert grid.values.tolist() == [
+    grid = patch_grid(np.arange(1.0, 11.0), geometry)
+    assert grid.shape == (5, 4) and compute_patch_count(10, geometry) == 5
+    assert grid.tolist() == [
         [1.0, 2.0, 3.0, 4.0],
         [3.0, 4.0, 5.0, 6.0],
         [5.0, 6.0, 7.0, 8.0],
@@ -85,13 +90,17 @@ def test_patch_series_oracle():
 
 def test_patch_series_non_overlapping():
     geometry = cfg(patch_len=2, stride=2, max_patches=16)
-    grid = patch_series(np.arange(1.0, 7.0), geometry)
-    assert grid.values.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [6.0, 6.0]]
+    grid = patch_grid(np.arange(1.0, 7.0), geometry)
+    assert grid.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [6.0, 6.0]]
 
 
 def test_patch_series_rejects_short_input():
+    geometry = cfg(patch_len=4, stride=2)
+    store, params = build_embedding(geometry)
     with pytest.raises(ShapeError):
-        patch_series(np.ones(3), cfg(patch_len=4, stride=2))
+        compute_patch_count(3, geometry)
+    with pytest.raises(ShapeError):
+        patch_embed(Tensor(np.ones(3)), params, geometry)
 
 
 # -- embedding --------------------------------------------------------------------
@@ -137,7 +146,7 @@ def test_patch_embed_position_rows_add(rng_np):
     store, params = build_embedding(geometry)
     x = rng_np.normal(size=10)
     out = patch_embed(Tensor(x), params, geometry).data
-    grid = patch_series(x, geometry).values
+    grid = patch_grid(x, geometry)
     expected = grid @ params.value_weight.data + params.position.data[:5]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 

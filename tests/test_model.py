@@ -342,6 +342,43 @@ def test_checkpoint_appends_suffix(tiny_model, tmp_path):
     assert load_checkpoint(path).scaler_mean is None
 
 
+def test_checkpoint_scaler_restores_or_refuses(tiny_model, tmp_path):
+    path = save_checkpoint(
+        tiny_model, tmp_path / "model.npz",
+        scaler_mean=np.array([1.0, 2.0]), scaler_std=np.array([3.0, 4.0]),
+    )
+    scaler = load_checkpoint(path).scaler()
+    np.testing.assert_array_equal(scaler.inverse(np.zeros((1, 2))), [[1.0, 2.0]])
+    bare = save_checkpoint(tiny_model, tmp_path / "bare.npz")
+    with pytest.raises(ConfigError, match="bare.npz carries no scaler state"):
+        load_checkpoint(bare).scaler()
+
+
+def rewrite_meta(path, edit) -> None:
+    """Apply ``edit`` to the JSON meta entry of a saved checkpoint, in place."""
+    with np.load(path) as bundle:
+        arrays = dict(bundle)
+    meta = json.loads(str(arrays["meta"]))
+    edit(meta)
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def test_load_checkpoint_reads_null_d_v(tiny_model, tmp_path, rng_np):
+    """Format-1 files written while configs had a ``d_v`` field store it as null."""
+    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    rewrite_meta(path, lambda meta: meta["config"].update(d_v=None))
+    x = rng_np.normal(size=(16, 2))
+    np.testing.assert_array_equal(load_checkpoint(path).model.forward(x), tiny_model.forward(x))
+
+
+def test_load_checkpoint_rejects_narrow_d_v(tiny_model, tmp_path):
+    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    rewrite_meta(path, lambda meta: meta["config"].update(d_v=4))
+    with pytest.raises(DataError, match="d_v=4"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_scaler_must_be_paired(tiny_model, tmp_path):
     with pytest.raises(ConfigError):
         save_checkpoint(tiny_model, tmp_path / "model", scaler_mean=np.array([1.0]))

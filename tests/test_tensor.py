@@ -6,6 +6,7 @@ to write down.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,19 @@ def test_grad_layer_norm_each_input(rng_np, which):
         return (layer_norm(*args, eps=1e-5) * probe).sum()
 
     check_primitive(fn, inputs[which])
+
+
+def test_layer_norm_constant_block_has_finite_gradients(rng_np):
+    """A flat (Z, D) block has std 0; its std term must be 0, not 0 / 0."""
+    x = Tensor(np.full((3, 4), 7.0), requires_grad=True)
+    probe = Tensor(rng_np.normal(size=(3, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (layer_norm(x, *identity_affine(4), eps=1e-5) * probe).sum().backward()
+    assert np.all(np.isfinite(x.grad))
+    # with std 0 the block is divided by eps alone, minus its mean
+    g = probe.data / 1e-5
+    np.testing.assert_allclose(x.grad, g - g.mean(), rtol=1e-12)
 
 
 @pytest.mark.parametrize("which", range(3))

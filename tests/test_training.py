@@ -22,7 +22,6 @@ from patchformer import (
     adam_step,
     average_reports,
     evaluate,
-    evaluate_windows,
     mae_metric,
     make_windows,
     mse_loss,
@@ -163,21 +162,11 @@ def tiny_trained_setup(t=64, channels=1, seed=0):
     return PatchformerModel.build(cfg), sine_table(t, channels)
 
 
-def test_evaluate_is_order_independent(rng_np):
-    model, table = tiny_trained_setup()
-    windows = make_windows(table, 24, 8)
-    base = evaluate_windows(model, windows)
-    perm = rng_np.permutation(len(windows))
-    shuffled = evaluate_windows(model, [windows[i] for i in perm])
-    assert base.mse == shuffled.mse
-    assert base.mae == shuffled.mae
-
-
 def test_evaluate_is_batch_size_independent():
     model, table = tiny_trained_setup()
     windows = make_windows(table, 24, 8)
-    one = evaluate_windows(model, windows, batch_size=1)
-    big = evaluate_windows(model, windows, batch_size=len(windows))
+    one = evaluate(model, table, batch_size=1)
+    big = evaluate(model, table, batch_size=len(windows))
     assert one.n_windows == big.n_windows == len(windows)
     np.testing.assert_allclose([one.mse, one.mae], [big.mse, big.mae], atol=1e-12)
 
@@ -208,9 +197,7 @@ def test_repeat_last_baseline_oracle():
     table = sine_table(16, 2)
     report = repeat_last_report(table, seq_len=4, pred_len=3)
     windows = make_windows(table, 4, 3)
-    per_window = [
-        mse_metric(np.tile(w.enc_input[-1], (3, 1)), w.target) for w in windows
-    ]
+    per_window = [mse_metric(np.tile(w[3], (3, 1)), w[4:]) for w in windows]
     assert abs(report.mse - np.mean(per_window)) < 1e-12
     assert report.n_windows == len(windows)
 
