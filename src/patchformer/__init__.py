@@ -1,6 +1,6 @@
 """Patch-based encoder-decoder forecasting on a self-contained autodiff core."""
 
-from .attention import AttentionConfig, AttentionParams, multi_head_attention
+from .attention import AttentionParams, multi_head_attention
 from .data import (
     Scaler,
     SyntheticSpec,
@@ -11,7 +11,7 @@ from .data import (
     make_windows,
     save_csv,
 )
-from .embedding import EmbeddingParams, PatchConfig, compute_patch_count, patch_embed
+from .embedding import EmbeddingParams, compute_patch_count, patch_embed
 from .errors import (
     CapacityError,
     ConfigError,

@@ -4,7 +4,7 @@ Attention here is always bidirectional: every query row may attend to every
 key row, with no causal mask.  Heads are evaluated in one batched pass by
 stacking their projection matrices; each head's block of the stacked weight
 matrix feeds exactly one slice of the reshaped activations, so the result
-matches a head-by-head loop.
+matches a head-by-head loop.  Each head scores with d_model / n_heads columns.
 
 A block records four fused graph nodes: ``linear`` for the query and key
 projections, one ``attention_core`` (scores on head views of Q and K,
@@ -53,45 +53,19 @@ from .tensor import (  # noqa: F401
 )
 
 __all__ = [
-    "AttentionConfig",
     "AttentionParams",
     "multi_head_attention",
 ]
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Head count and query/key width; ``d_k`` defaults to d_model / n_heads."""
-
-    d_model: int
-    n_heads: int
-    d_k: int | None = None
-
-    def __post_init__(self):
-        if self.d_model < 1:
-            raise ConfigError(f"d_model must be positive, got {self.d_model}")
-        if self.n_heads < 1:
-            raise ConfigError(f"n_heads must be positive, got {self.n_heads}")
-        if self.d_k is None and self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}; "
-                "set d_k explicitly"
-            )
-        if self.d_k is not None and self.d_k < 1:
-            raise ConfigError(f"d_k must be positive, got {self.d_k}")
-
-    @property
-    def head_dim_k(self) -> int:
-        return self.d_k if self.d_k is not None else self.d_model // self.n_heads
 
 
 @dataclass
 class AttentionParams:
     """Stacked per-head projections plus the shared output map.
 
-    ``w_query``/``w_key`` hold the H head matrices side by side as
-    (d_model, H * d_k); ``w_value`` likewise as (d_model, H * d_model);
-    ``w_out`` maps the concatenated head outputs (H * d_model) back to d_model.
+    ``w_query``/``w_key`` hold the H head matrices, each d_model / H wide,
+    side by side as (d_model, d_model); ``w_value`` likewise as
+    (d_model, H * d_model); ``w_out`` maps the concatenated head outputs
+    (H * d_model) back to d_model.
 
     Attention only uses ``w_value`` and ``w_out`` through their per-head
     products, stacked as one (H * d_model, d_model) map (see
@@ -109,12 +83,13 @@ class AttentionParams:
     _memo: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def build(cls, store: ParameterStore, prefix: str, cfg: AttentionConfig) -> "AttentionParams":
-        d, h = cfg.d_model, cfg.n_heads
-        dk = cfg.head_dim_k
+    def build(
+        cls, store: ParameterStore, prefix: str, d_model: int, n_heads: int
+    ) -> "AttentionParams":
+        d, h = d_model, n_heads
         return cls(
-            w_query=store.weight(f"{prefix}.w_query", (d, h * dk)),
-            w_key=store.weight(f"{prefix}.w_key", (d, h * dk)),
+            w_query=store.weight(f"{prefix}.w_query", (d, d)),
+            w_key=store.weight(f"{prefix}.w_key", (d, d)),
             w_value=store.weight(f"{prefix}.w_value", (d, h * d)),
             w_out=store.weight(f"{prefix}.w_out", (h * d, d)),
             n_heads=h,

@@ -94,7 +94,6 @@ class RunConfig:
     stride: int = 8
     d_model: int = 512
     n_heads: int = 8
-    d_k: int | None = None
     d_ff: int | None = None
     e_layers: int = 2
     d_layers: int = 1
@@ -119,7 +118,6 @@ class RunConfig:
             stride=self.stride,
             d_model=self.d_model,
             n_heads=self.n_heads,
-            d_k=self.d_k,
             d_ff=self.d_ff,
             n_encoder_layers=self.e_layers,
             n_decoder_layers=self.d_layers,
@@ -141,25 +139,22 @@ class RunConfig:
         )
 
 
-_OPTIONAL_INT_FIELDS = {"d_k", "d_ff"}
+# Parsers of the RunConfig annotations that are not plain strings.
+_PARSERS = {"int": int, "int | None": int, "float": float}
 
 
 def _coerce_field(name: str, raw: str):
-    """Parse one config-file value into the type RunConfig expects."""
-    spec = {f.name: f.type for f in fields(RunConfig)}
-    if name not in spec:
+    """Parse one config-file value into the type RunConfig declares for it."""
+    kinds = {f.name: f.type for f in fields(RunConfig)}
+    if name not in kinds:
         raise ConfigError(f"unknown config key {name!r}")
     raw = raw.strip()
     if name == "channels":
         return tuple(part.strip() for part in raw.split(",") if part.strip()) or None
-    if name in _OPTIONAL_INT_FIELDS:
-        return None if raw.lower() in ("", "none") else int(raw)
-    if name in ("data", "mode", "out_dir"):
-        return raw
+    if kinds[name] == "int | None" and raw.lower() in ("", "none"):
+        return None
     try:
-        if name in ("dropout", "lr", "synth_noise_std"):
-            return float(raw)
-        return int(raw)
+        return _PARSERS.get(kinds[name], str)(raw)
     except ValueError:
         raise ConfigError(f"config key {name!r} expects a number, got {raw!r}") from None
 
@@ -681,36 +676,40 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, include_model: bool = True):
-    parser.add_argument("--config", help="flat KEY=VALUE config file")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--seed", type=int, dest="seed")
-    data = parser.add_argument_group("data")
-    data.add_argument("--data", dest="data", help="CSV dataset path (default: synthetic)")
-    data.add_argument("--channels", dest="channels", help="comma-separated channel subset")
-    data.add_argument("--synth-length", type=int, dest="synth_length")
-    data.add_argument("--synth-channels", type=int, dest="synth_channels")
-    data.add_argument("--synth-seed", type=int, dest="synth_seed")
-    data.add_argument("--synth-noise-std", type=float, dest="synth_noise_std")
-    if not include_model:
-        return
-    model = parser.add_argument_group("model")
-    model.add_argument("--seq-len", type=int, dest="seq_len")
-    model.add_argument("--pred-len", type=int, dest="pred_len")
-    model.add_argument("--patch-len", type=int, dest="patch_len")
-    model.add_argument("--stride", type=int, dest="stride")
-    model.add_argument("--d-model", type=int, dest="d_model")
-    model.add_argument("--n-heads", type=int, dest="n_heads")
-    model.add_argument("--d-k", type=int, dest="d_k")
-    model.add_argument("--d-ff", type=int, dest="d_ff")
-    model.add_argument("--e-layers", type=int, dest="e_layers")
-    model.add_argument("--d-layers", type=int, dest="d_layers")
-    model.add_argument("--dropout", type=float, dest="dropout")
-    training = parser.add_argument_group("training")
-    training.add_argument("--epochs", type=int, dest="epochs")
-    training.add_argument("--batch-size", type=int, dest="batch_size")
-    training.add_argument("--lr", type=float, dest="lr")
-    training.add_argument("--mode", choices=MODES, dest="mode")
+# Run flags by help section.  Each sets the RunConfig field of its name and
+# parses its value as that field's type; --config names a file of them.
+_RUN_FLAGS = {
+    "general": ("--config", "--out-dir", "--seed"),
+    "data": (
+        "--data", "--channels", "--synth-length", "--synth-channels", "--synth-seed",
+        "--synth-noise-std",
+    ),
+    "model": (
+        "--seq-len", "--pred-len", "--patch-len", "--stride", "--d-model", "--n-heads",
+        "--d-ff", "--e-layers", "--d-layers", "--dropout",
+    ),
+    "training": ("--epochs", "--batch-size", "--lr", "--mode"),
+}
+_FLAG_HELP = {
+    "--config": "flat KEY=VALUE config file",
+    "--out-dir": "output directory",
+    "--data": "CSV dataset path (default: synthetic)",
+    "--channels": "comma-separated channel subset",
+}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, *picks: str) -> None:
+    """Register the run flags named in ``picks``, one by one or by section, and no others."""
+    kinds = {f.name: f.type for f in fields(RunConfig)}
+    for title, section in _RUN_FLAGS.items():
+        chosen = [flag for flag in section if title in picks or flag in picks]
+        group = parser if title == "general" else parser.add_argument_group(title)
+        for flag in chosen:
+            dest = flag[2:].replace("-", "_")
+            group.add_argument(
+                flag, type=_PARSERS.get(kinds.get(dest)), help=_FLAG_HELP.get(flag),
+                choices=MODES if dest == "mode" else None,
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -719,11 +718,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write checkpoints")
-    _add_common_flags(p_train)
+    _add_run_flags(p_train, *_RUN_FLAGS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score checkpoints on the test split")
-    _add_common_flags(p_eval)
+    # The checkpoint fixes the model and its channels; the flags pick the data.
+    _add_run_flags(
+        p_eval, "--config", "--out-dir", "--data", "--synth-length", "--synth-channels",
+        "--synth-seed", "--synth-noise-std", "--seq-len", "--pred-len", "--mode",
+    )
     p_eval.add_argument(
         "--checkpoint", action="append", required=True, help="checkpoint file (repeatable)"
     )
@@ -736,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.set_defaults(func=cmd_forecast)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of the whole model")
-    _add_common_flags(p_gc)
+    _add_run_flags(p_gc, "--config", "--seed", "model")
     p_gc.add_argument("--gradcheck-channels", type=int, default=2, help="series channels")
     p_gc.add_argument("--eps", type=float, default=1e-4)
     p_gc.add_argument("--tol", type=float, default=1e-4)
@@ -748,12 +751,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_synth = sub.add_parser("synth", help="write a synthetic multi-energy CSV")
-    _add_common_flags(p_synth, include_model=False)
+    _add_run_flags(p_synth, "general", "data")
     p_synth.add_argument("--out-file", help="CSV path (default <out-dir>/synthetic.csv)")
     p_synth.set_defaults(func=cmd_synth)
 
     p_sweep = sub.add_parser("sweep", help="lookback grid or protocol comparison")
-    _add_common_flags(p_sweep)
+    _add_run_flags(p_sweep, *_RUN_FLAGS)
     p_sweep.add_argument("--kind", choices=("lookback", "protocol"), default="lookback")
     p_sweep.add_argument("--lookbacks", default="24,48,96,192,336")
     p_sweep.add_argument("--pred-lens", default="96,720")

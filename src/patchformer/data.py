@@ -235,15 +235,10 @@ class Scaler:
     std: np.ndarray
 
     @classmethod
-    def fit(
-        cls,
-        values: np.ndarray,
-        floor: float = 1e-8,
-        channel_names: list[str] | None = None,
-    ) -> "Scaler":
+    def fit(cls, values: np.ndarray, channel_names: list[str] | None = None) -> "Scaler":
         """Mean and population std per channel of a (T, C) array.
 
-        A channel whose std is below ``floor`` times max(1, |mean|) is flat:
+        A channel whose std is below 1e-8 times max(1, |mean|) is flat:
         it keeps std 1.0, so it is centred but not scaled, and a
         ``ConstantChannelWarning`` names it.  Dividing later values by the
         tiny std would blow them up.  The floor grows with |mean| because
@@ -255,7 +250,7 @@ class Scaler:
             raise ShapeError(f"scaler fit needs a non-empty (T, C) array, got {values.shape}")
         mean = values.mean(axis=0)
         std = values.std(axis=0)
-        flat = std < floor * np.maximum(np.abs(mean), 1.0)
+        flat = std < 1e-8 * np.maximum(np.abs(mean), 1.0)
         for index in np.flatnonzero(flat):
             name = channel_names[index] if channel_names is not None else None
             warnings.warn(ConstantChannelWarning(int(index), name), stacklevel=2)
@@ -302,7 +297,7 @@ _GHG_MIX = {"electricity": 0.6, "gas": 0.35}
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs for the generated multi-energy table.
+    """Size, seed and noise of the generated multi-energy table.
 
     Channels beyond the five named ones are auxiliary consumption series
     whose amplitude, phase, and trend vary deterministically with the channel
@@ -312,11 +307,7 @@ class SyntheticSpec:
     length: int = 49415
     channels: int = 19
     seed: int = 0
-    daily_amp: float = 1.0
-    weekly_amp: float = 0.3
-    trend_slope: float = 1e-4
     noise_std: float = 0.1
-    start_hour: int = 0
 
     def __post_init__(self):
         if self.length < 1:
@@ -327,13 +318,13 @@ class SyntheticSpec:
             raise ConfigError(f"noise_std must be non-negative, got {self.noise_std}")
 
 
-def _channel_wave(spec: SyntheticSpec, index: int, t: np.ndarray) -> np.ndarray:
+def _channel_wave(index: int, t: np.ndarray) -> np.ndarray:
     """Noise-free profile of one channel: two sinusoids plus a linear trend."""
-    amp = spec.daily_amp * (1.0 + 0.1 * index)
+    amp = 1.0 + 0.1 * index
     phase = 2.0 * np.pi * index / 7.0
     daily = amp * np.sin(2.0 * np.pi * t / 24.0 + phase)
-    weekly = spec.weekly_amp * np.sin(2.0 * np.pi * t / 168.0 + 0.5 * phase)
-    trend = spec.trend_slope * (1.0 + 0.05 * index) * t
+    weekly = 0.3 * np.sin(2.0 * np.pi * t / 168.0 + 0.5 * phase)
+    trend = 1e-4 * (1.0 + 0.05 * index) * t
     return daily + weekly + trend
 
 
@@ -348,7 +339,7 @@ def generate_synthetic_multienergy(spec: SyntheticSpec) -> TimeSeriesTable:
     names = list(BASE_CHANNELS[: min(spec.channels, len(BASE_CHANNELS))])
     names += [f"aux{i:02d}" for i in range(spec.channels - len(names))]
 
-    t = np.arange(spec.length, dtype=np.float64) + spec.start_hour
+    t = np.arange(spec.length, dtype=np.float64)
     rng = Rng(spec.seed).child(7)
     clean: dict[str, np.ndarray] = {}
     columns: list[np.ndarray] = []
@@ -356,14 +347,14 @@ def generate_synthetic_multienergy(spec: SyntheticSpec) -> TimeSeriesTable:
         if name == "ghg":
             wave = sum(_GHG_MIX[src] * clean[src] for src in _GHG_MIX)
         else:
-            wave = _channel_wave(spec, index, t)
+            wave = _channel_wave(index, t)
         clean[name] = wave
         noise = rng.normal(0.0, spec.noise_std, t.shape) if spec.noise_std > 0 else 0.0
         columns.append(wave + noise)
 
     epoch = datetime(2020, 1, 1)
     stamps = [
-        (epoch + timedelta(hours=spec.start_hour + step)).strftime("%Y-%m-%d %H:%M:%S")
+        (epoch + timedelta(hours=step)).strftime("%Y-%m-%d %H:%M:%S")
         for step in range(spec.length)
     ]
     return TimeSeriesTable(

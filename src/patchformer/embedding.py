@@ -3,10 +3,10 @@
 A length-I series is extended with ``stride`` copies of its final value and
 then cut into overlapping windows of ``patch_len`` every ``stride`` steps,
 giving Z = floor((I - patch_len) / stride) + 2 patch rows.  Each row is
-projected by a shared linear map and offset by a learnable position vector;
-the same tables serve every channel.  ``patch_embed`` is the only patcher: it
-pads with ``tensor.pad_last`` and cuts with ``tensor.unfold_windows``, both
-graph ops, so the patches stay differentiable in the series.
+projected by a shared ``linear`` map and offset by a learnable position
+vector; the same tables serve every channel, and their shapes give patch_len
+and the patch capacity.  ``patch_embed`` is the only patcher: it pads with
+``tensor.pad_last`` and cuts with ``tensor.unfold_windows``, both graph ops.
 """
 
 from __future__ import annotations
@@ -15,48 +15,24 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, ShapeError
 from .params import ParameterStore
-from .tensor import Tensor, pad_last, unfold_windows
+from .tensor import Tensor, linear, pad_last, unfold_windows
 
 __all__ = [
-    "PatchConfig",
     "EmbeddingParams",
     "compute_patch_count",
     "patch_embed",
 ]
 
 
-@dataclass(frozen=True)
-class PatchConfig:
-    """Patch geometry plus the width and capacity of the embedding tables."""
-
-    patch_len: int
-    stride: int
-    d_model: int
-    max_patches: int
-
-    def __post_init__(self):
-        if self.patch_len < 1:
-            raise ConfigError(f"patch_len must be positive, got {self.patch_len}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be positive, got {self.stride}")
-        if self.stride > self.patch_len:
-            raise ConfigError(
-                f"stride {self.stride} larger than patch_len {self.patch_len} "
-                "would drop input values"
-            )
-        if self.d_model < 1:
-            raise ConfigError(f"d_model must be positive, got {self.d_model}")
-        if self.max_patches < 1:
-            raise ConfigError(f"max_patches must be positive, got {self.max_patches}")
-
-
-def compute_patch_count(series_len: int, cfg: PatchConfig) -> int:
+def compute_patch_count(series_len: int, patch_len: int, stride: int) -> int:
     """Number of patch rows produced for a series of the given length."""
-    if series_len < cfg.patch_len:
-        raise ShapeError(
-            f"series of length {series_len} is shorter than patch_len {cfg.patch_len}"
+    if patch_len < 1 or not 1 <= stride <= patch_len:
+        raise ConfigError(
+            f"need 1 <= stride <= patch_len, got stride {stride} and patch_len {patch_len}"
         )
-    return (series_len - cfg.patch_len) // cfg.stride + 2
+    if series_len < patch_len:
+        raise ShapeError(f"series of length {series_len} is shorter than patch_len {patch_len}")
+    return (series_len - patch_len) // stride + 2
 
 
 @dataclass
@@ -65,18 +41,21 @@ class EmbeddingParams:
 
     value_weight: Tensor  # (patch_len, d_model)
     position: Tensor  # (max_patches, d_model)
+    stride: int
 
     @classmethod
-    def build(cls, store: ParameterStore, prefix: str, cfg: PatchConfig) -> "EmbeddingParams":
+    def build(
+        cls, store: ParameterStore, prefix: str, patch_len: int, stride: int, d_model: int,
+        max_patches: int,
+    ) -> "EmbeddingParams":
         return cls(
-            value_weight=store.weight(f"{prefix}.value_weight", (cfg.patch_len, cfg.d_model)),
-            position=store.uniform(
-                f"{prefix}.position", (cfg.max_patches, cfg.d_model), -0.02, 0.02
-            ),
+            value_weight=store.weight(f"{prefix}.value_weight", (patch_len, d_model)),
+            position=store.uniform(f"{prefix}.position", (max_patches, d_model), -0.02, 0.02),
+            stride=stride,
         )
 
 
-def patch_embed(x, params: EmbeddingParams, cfg: PatchConfig) -> Tensor:
+def patch_embed(x, params: EmbeddingParams) -> Tensor:
     """Embed series (..., I) into patch tokens (..., Z, d_model).
 
     Differentiable with respect to both the tables and ``x`` when ``x`` is a
@@ -85,12 +64,10 @@ def patch_embed(x, params: EmbeddingParams, cfg: PatchConfig) -> Tensor:
     xt = x if isinstance(x, Tensor) else Tensor(x)
     if xt.ndim < 1:
         raise ShapeError("patch_embed expects at least a 1-d series")
-    z = compute_patch_count(xt.shape[-1], cfg)
-    if z > cfg.max_patches:
-        raise CapacityError(
-            f"series needs {z} patch positions but the table holds {cfg.max_patches}"
-        )
-    padded = pad_last(xt, cfg.stride)
-    grid = unfold_windows(padded, cfg.patch_len, cfg.stride)
-    tokens = grid @ params.value_weight
-    return tokens + params.position[:z]
+    patch_len, capacity = params.value_weight.shape[0], params.position.shape[0]
+    z = compute_patch_count(xt.shape[-1], patch_len, params.stride)
+    if z > capacity:
+        raise CapacityError(f"series needs {z} patch positions but the table holds {capacity}")
+    padded = pad_last(xt, params.stride)
+    grid = unfold_windows(padded, patch_len, params.stride)
+    return linear(grid, params.value_weight) + params.position[:z]

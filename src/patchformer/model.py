@@ -17,14 +17,14 @@ learnable per-feature scale and shift.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionConfig, AttentionParams, multi_head_attention
+from .attention import AttentionParams, multi_head_attention
 from .data import Scaler
-from .embedding import EmbeddingParams, PatchConfig, compute_patch_count, patch_embed
+from .embedding import EmbeddingParams, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
 from .tensor import Tensor, concat, dropout, linear, no_grad
@@ -60,7 +60,6 @@ class ModelConfig:
     stride: int = 8
     d_model: int = 512
     n_heads: int = 8
-    d_k: int | None = None
     d_ff: int | None = None
     n_encoder_layers: int = 2
     n_decoder_layers: int = 1
@@ -78,6 +77,10 @@ class ModelConfig:
             raise ConfigError("the model needs at least one encoder and one decoder layer")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads:
+            raise ConfigError(
+                f"d_model {self.d_model} must be a positive multiple of n_heads {self.n_heads}"
+            )
         if self.patch_len < 1 or not 1 <= self.stride <= self.patch_len:
             raise ConfigError(
                 f"need 1 <= stride <= patch_len, got stride {self.stride} "
@@ -104,24 +107,6 @@ class ModelConfig:
     @property
     def ffn_width(self) -> int:
         return self.d_ff if self.d_ff is not None else 4 * self.d_model
-
-    @property
-    def attention(self) -> AttentionConfig:
-        return AttentionConfig(d_model=self.d_model, n_heads=self.n_heads, d_k=self.d_k)
-
-    @property
-    def patching(self) -> PatchConfig:
-        probe = PatchConfig(
-            patch_len=self.patch_len, stride=self.stride, d_model=self.d_model, max_patches=1
-        )
-        z_enc = compute_patch_count(self.seq_len, probe)
-        z_dec = compute_patch_count(self.decoder_len, probe)
-        return PatchConfig(
-            patch_len=self.patch_len,
-            stride=self.stride,
-            d_model=self.d_model,
-            max_patches=max(z_enc, z_dec),
-        )
 
 
 @dataclass
@@ -183,7 +168,7 @@ class EncoderLayerParams:
     @classmethod
     def build(cls, store: ParameterStore, prefix: str, cfg: ModelConfig) -> "EncoderLayerParams":
         return cls(
-            attn=AttentionParams.build(store, f"{prefix}.self_attn", cfg.attention),
+            attn=AttentionParams.build(store, f"{prefix}.self_attn", cfg.d_model, cfg.n_heads),
             norm1=LayerNormParams.build(store, f"{prefix}.norm1", cfg.d_model, cfg.layer_norm_eps),
             ffn=FeedForwardParams.build(store, f"{prefix}.ffn", cfg.d_model, cfg.ffn_width),
             norm2=LayerNormParams.build(store, f"{prefix}.norm2", cfg.d_model, cfg.layer_norm_eps),
@@ -217,9 +202,9 @@ class DecoderLayerParams:
     @classmethod
     def build(cls, store: ParameterStore, prefix: str, cfg: ModelConfig) -> "DecoderLayerParams":
         return cls(
-            self_attn=AttentionParams.build(store, f"{prefix}.self_attn", cfg.attention),
+            self_attn=AttentionParams.build(store, f"{prefix}.self_attn", cfg.d_model, cfg.n_heads),
             norm1=LayerNormParams.build(store, f"{prefix}.norm1", cfg.d_model, cfg.layer_norm_eps),
-            cross_attn=AttentionParams.build(store, f"{prefix}.cross_attn", cfg.attention),
+            cross_attn=AttentionParams.build(store, f"{prefix}.cross_attn", cfg.d_model, cfg.n_heads),
             norm2=LayerNormParams.build(store, f"{prefix}.norm2", cfg.d_model, cfg.layer_norm_eps),
             ffn=FeedForwardParams.build(store, f"{prefix}.ffn", cfg.d_model, cfg.ffn_width),
             norm3=LayerNormParams.build(store, f"{prefix}.norm3", cfg.d_model, cfg.layer_norm_eps),
@@ -252,11 +237,12 @@ class PatchformerModel:
     def __init__(self, cfg: ModelConfig, store: ParameterStore):
         self.cfg = cfg
         self.store = store
-        patching = cfg.patching
-        self.patching = patching
-        self.z_encoder = compute_patch_count(cfg.seq_len, patching)
-        self.z_decoder = compute_patch_count(cfg.decoder_len, patching)
-        self.embedding = EmbeddingParams.build(store, "embed", patching)
+        self.z_encoder = compute_patch_count(cfg.seq_len, cfg.patch_len, cfg.stride)
+        self.z_decoder = compute_patch_count(cfg.decoder_len, cfg.patch_len, cfg.stride)
+        self.embedding = EmbeddingParams.build(
+            store, "embed", cfg.patch_len, cfg.stride, cfg.d_model,
+            max(self.z_encoder, self.z_decoder),
+        )
         self.encoder_layers = [
             EncoderLayerParams.build(store, f"encoder.{i}", cfg)
             for i in range(cfg.n_encoder_layers)
@@ -291,7 +277,6 @@ class PatchformerModel:
         x,
         training: bool = False,
         rng: Rng | None = None,
-        dropout_rate: float | None = None,
     ) -> Tensor:
         """Forecast a batch of single-channel series: (B, seq_len) -> (B, pred_len)."""
         xt = x if isinstance(x, Tensor) else Tensor(x)
@@ -301,22 +286,22 @@ class PatchformerModel:
             raise ShapeError(
                 f"series length {xt.shape[1]} != configured seq_len {self.cfg.seq_len}"
             )
-        rate = self.cfg.dropout if dropout_rate is None else dropout_rate
+        rate = self.cfg.dropout
         if training and rate > 0.0 and rng is None:
             raise ConfigError("training-mode forward with dropout needs an rng")
 
-        memory = patch_embed(xt, self.embedding, self.patching)
+        memory = patch_embed(xt, self.embedding)
         memory = dropout(memory, rate, rng, training)
         for layer in self.encoder_layers:
             memory = encoder_layer(memory, layer, rate, rng, training)
 
-        decoded = patch_embed(self.decoder_series(xt), self.embedding, self.patching)
+        decoded = patch_embed(self.decoder_series(xt), self.embedding)
         decoded = dropout(decoded, rate, rng, training)
         for layer in self.decoder_layers:
             decoded = decoder_layer(decoded, memory, layer, rate, rng, training)
 
         flat = decoded.reshape(xt.shape[0], self.z_decoder * self.cfg.d_model)
-        return flat @ self.head_weight
+        return linear(flat, self.head_weight)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forecast one multivariate window: (seq_len, C) -> (pred_len, C).
@@ -341,7 +326,6 @@ class PatchformerModel:
         x: np.ndarray,
         training: bool = False,
         rng: Rng | None = None,
-        dropout_rate: float | None = None,
     ) -> Tensor:
         """Forecast a batch of windows: (B, seq_len, C) -> Tensor (B, pred_len, C).
 
@@ -356,7 +340,7 @@ class PatchformerModel:
             )
         b, _, c = x.shape
         folded = np.ascontiguousarray(np.transpose(x, (0, 2, 1))).reshape(b * c, -1)
-        out = self.forward_series(folded, training=training, rng=rng, dropout_rate=dropout_rate)
+        out = self.forward_series(folded, training=training, rng=rng)
         return out.reshape(b, c, self.cfg.pred_len).transpose((0, 2, 1))
 
 
@@ -430,6 +414,29 @@ def save_checkpoint(
     return path
 
 
+def _config_from_meta(path: Path, config: dict) -> ModelConfig:
+    """The ``ModelConfig`` a checkpoint records; ``DataError`` names a bad key or value."""
+    # Format 1 files from before the head widths were fixed by d_model and
+    # n_heads carry "d_v": null and "d_k": null; any other value describes a
+    # model this code cannot build.
+    for retired in ("d_v", "d_k"):
+        value = config.pop(retired, None)
+        if value is not None:
+            raise DataError(
+                f"{path}: unsupported {retired}={value!r}; head widths follow d_model and n_heads"
+            )
+    kinds = {f.name: f.type for f in fields(ModelConfig)}
+    accepts = {"int": int, "int | None": (int, type(None)), "float": (int, float)}
+    for key, value in config.items():
+        kind = kinds.get(key, "not a ModelConfig field")
+        if isinstance(value, bool) or not isinstance(value, accepts.get(kind, ())):
+            raise DataError(f"{path}: bad model config entry {key}={value!r} ({kind})")
+    try:
+        return ModelConfig(**config)
+    except TypeError as exc:  # a required key is missing
+        raise DataError(f"{path}: incomplete model config: {exc}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a model bit for bit from ``save_checkpoint`` output."""
     path = Path(path)
@@ -448,13 +455,7 @@ def load_checkpoint(path) -> Checkpoint:
         }
         scaler_mean = bundle["scaler.mean"] if "scaler.mean" in bundle else None
         scaler_std = bundle["scaler.std"] if "scaler.std" in bundle else None
-    config = dict(meta["config"])
-    # Format 1 files from before the value width was fixed at d_model carry
-    # "d_v": null; any other value describes a model this code cannot build.
-    narrowed = config.pop("d_v", None)
-    if narrowed is not None:
-        raise DataError(f"{path}: unsupported d_v={narrowed!r}; values are d_model wide")
-    cfg = ModelConfig(**config)
+    cfg = _config_from_meta(path, dict(meta["config"]))
     channel_names = meta.get("channel_names")
     _check_channel_state(path, cfg.n_channels, channel_names, scaler_mean, scaler_std)
     model = PatchformerModel.build(cfg)

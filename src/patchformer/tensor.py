@@ -318,24 +318,11 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched ``a @ b`` with numpy broadcasting; ``linear`` is the GEMM with weights."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs 2-d or higher operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-
-    if a.ndim > 2 and b.ndim == 2:
-        # Stack-times-matrix: fold the leading axes into one GEMM instead of
-        # looping per matrix; this keeps the gradient accumulation dense too.
-        folded = np.ascontiguousarray(a.data).reshape(-1, a.shape[-1])
-        data = (folded @ b.data).reshape(*a.shape[:-1], b.shape[-1])
-
-        def vjp(g):
-            flat = np.ascontiguousarray(g).reshape(-1, g.shape[-1])
-            ga = (flat @ b.data.T).reshape(a.shape)
-            gb = folded.T @ flat
-            return ga, gb
-
-        return _record(data, (a, b), vjp, "matmul")
 
     data = np.matmul(a.data, b.data)
 

@@ -5,6 +5,8 @@ MSE and MAE are reported.  Model evaluation and the repeat-last baseline
 share one scoring loop: it walks the windows of one ``make_windows`` view in
 origin order, a batch at a time, and reduces the per-window partial sums in
 that order, so the reported metrics do not depend on the batch size.
+``train`` shuffles the windows every epoch from a stream seeded by
+``TrainConfig.seed``, at the dropout rate of ``ModelConfig.dropout``.
 """
 
 from __future__ import annotations
@@ -163,18 +165,9 @@ def _score(windows: np.ndarray, seq_len: int, predict, batch_size: int = 64) -> 
 
 
 def evaluate(
-    model: PatchformerModel,
-    table: TimeSeriesTable,
-    batch_size: int = 64,
-    channels: list[str] | None = None,
+    model: PatchformerModel, table: TimeSeriesTable, batch_size: int = 64
 ) -> MetricReport:
-    """Stride-1 rolling evaluation of every window the table can hold.
-
-    ``channels`` narrows the table to a named subset first (the simultaneous
-    multi-channel scoring mode); the model must match the resulting width.
-    """
-    if channels is not None:
-        table = table.select_channels(channels)
+    """Stride-1 rolling evaluation of every window the table can hold."""
     if table.n_channels != model.cfg.n_channels:
         raise ConfigError(
             f"model expects {model.cfg.n_channels} channels, table has {table.n_channels}"
@@ -196,28 +189,20 @@ def repeat_last_report(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimisation settings; ``dropout`` overrides the model's rate when set."""
+    """Optimisation settings; dropout is the model's own ``ModelConfig.dropout``."""
 
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-4
     seed: int = 0
-    shuffle: bool = True
-    dropout: float | None = None
-    eval_batch_size: int = 64
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.batch_size < 1 or self.eval_batch_size < 1:
-            raise ConfigError(
-                f"batch sizes must be positive, got {self.batch_size} "
-                f"and {self.eval_batch_size}"
-            )
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.lr < 0:
             raise ConfigError(f"learning rate must be non-negative, got {self.lr}")
-        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -271,7 +256,7 @@ def train(
     n = windows.shape[0]
     seq_len = model.cfg.seq_len
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         sum_sq = 0.0
         sum_abs = 0.0
         seen = 0
@@ -280,12 +265,7 @@ def train(
             x = windows[picked, :seq_len]
             y = windows[picked, seq_len:]
             model.store.zero_grads()
-            pred = model.forward_batch(
-                x,
-                training=True,
-                rng=dropout_rng.child(epoch, batch_idx),
-                dropout_rate=cfg.dropout,
-            )
+            pred = model.forward_batch(x, training=True, rng=dropout_rng.child(epoch, batch_idx))
             loss = mse_loss(pred, y)
             batch_mse = loss.item()
             if not math.isfinite(batch_mse):
@@ -303,7 +283,7 @@ def train(
         train_mse = sum_sq / seen
         train_mae = sum_abs / seen
         if val_table is not None:
-            val = evaluate(model, val_table, batch_size=cfg.eval_batch_size)
+            val = evaluate(model, val_table)
             val_mse, val_mae = val.mse, val.mae
             score = val_mse
         else:

@@ -16,7 +16,6 @@ from patchformer import (
     AdamState,
     ModelConfig,
     ParameterStore,
-    PatchConfig,
     PatchformerModel,
     Tensor,
     TimeSeriesTable,
@@ -91,9 +90,6 @@ def test_criterion_02_patch_algebra(announce):
         patch_len = int(rng.integers(1, 129))
         stride = int(rng.integers(1, patch_len + 1))
         series_len = int(rng.integers(patch_len, 513))
-        cfg = PatchConfig(
-            patch_len=patch_len, stride=stride, d_model=4, max_patches=2000
-        )
         x = rng.normal(size=series_len)
         grid = unfold_windows(pad_last(Tensor(x), stride), patch_len, stride).data
 
@@ -102,7 +98,7 @@ def test_criterion_02_patch_algebra(announce):
         oracle = np.stack([padded[s : s + patch_len] for s in starts])
 
         formula = (series_len - patch_len) // stride + 2
-        assert len(grid) == formula == len(oracle) == compute_patch_count(series_len, cfg)
+        assert len(grid) == formula == len(oracle) == compute_patch_count(series_len, patch_len, stride)
         np.testing.assert_array_equal(grid, oracle)
         checked += 1
     announce(2, "patch count formula vs brute force", checked == 200,

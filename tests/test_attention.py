@@ -7,8 +7,8 @@ import pytest
 
 from patchformer import (
     AdamState,
-    AttentionConfig,
     AttentionParams,
+    ModelConfig,
     ParameterStore,
     PatchformerModel,
     Rng,
@@ -23,9 +23,9 @@ from patchformer.errors import ConfigError, ShapeError
 from patchformer.tensor import attention_core
 
 
-def make_params(cfg: AttentionConfig, seed=0):
+def make_params(d_model: int, n_heads: int, seed=0):
     store = ParameterStore(seed=seed)
-    return store, AttentionParams.build(store, "attn", cfg)
+    return store, AttentionParams.build(store, "attn", d_model, n_heads)
 
 
 # -- single-head mechanics -------------------------------------------------------
@@ -127,17 +127,15 @@ def test_key_value_permutation_invariance(rng_np):
 
 
 def test_config_defaults_and_divisibility():
-    cfg = AttentionConfig(d_model=8, n_heads=2)
-    assert cfg.head_dim_k == 4
+    store, params = make_params(d_model=8, n_heads=2)
+    assert params.w_query.shape == params.w_key.shape == (8, 8)  # two heads, 4 wide
     with pytest.raises(ConfigError):
-        AttentionConfig(d_model=6, n_heads=4).head_dim_k
-    explicit = AttentionConfig(d_model=6, n_heads=4, d_k=3)
-    assert explicit.head_dim_k == 3
+        ModelConfig(seq_len=16, pred_len=8, n_channels=1, patch_len=4, stride=2,
+                    d_model=6, n_heads=4)
 
 
 def test_multi_head_output_shape(rng_np):
-    cfg = AttentionConfig(d_model=8, n_heads=2)
-    store, params = make_params(cfg)
+    store, params = make_params(d_model=8, n_heads=2)
     x = Tensor(rng_np.normal(size=(5, 8)))
     assert multi_head_attention(x, x, params).shape == (5, 8)
     xb = Tensor(rng_np.normal(size=(3, 5, 8)))
@@ -145,8 +143,7 @@ def test_multi_head_output_shape(rng_np):
 
 
 def test_multi_head_zero_projection_gives_zero(rng_np):
-    cfg = AttentionConfig(d_model=8, n_heads=2)
-    store, params = make_params(cfg)
+    store, params = make_params(d_model=8, n_heads=2)
     params.w_out.data = np.zeros_like(params.w_out.data)
     x = Tensor(rng_np.normal(size=(5, 8)))
     np.testing.assert_array_equal(multi_head_attention(x, x, params).data, np.zeros((5, 8)))
@@ -154,13 +151,12 @@ def test_multi_head_zero_projection_gives_zero(rng_np):
 
 def test_multi_head_matches_manual_per_head_loop(rng_np):
     """The stacked-weight implementation must equal looping over heads."""
-    cfg = AttentionConfig(d_model=8, n_heads=2)
-    store, params = make_params(cfg, seed=3)
+    store, params = make_params(d_model=8, n_heads=2, seed=3)
     x_q = rng_np.normal(size=(5, 8))
     x_kv = rng_np.normal(size=(7, 8))
     out = multi_head_attention(Tensor(x_q), Tensor(x_kv), params).data
 
-    d_k, d_v, heads = cfg.head_dim_k, cfg.d_model, cfg.n_heads
+    d_k, d_v, heads = 4, 8, 2
     per_head = []
     for h in range(heads):
         wq = params.w_query.data[:, h * d_k : (h + 1) * d_k]
@@ -176,8 +172,7 @@ def test_multi_head_matches_manual_per_head_loop(rng_np):
 
 def test_multi_head_cross_attends_to_memory(rng_np):
     """Changing the memory must change the output (cross-attention is live)."""
-    cfg = AttentionConfig(d_model=8, n_heads=2)
-    store, params = make_params(cfg)
+    store, params = make_params(d_model=8, n_heads=2)
     x_q = Tensor(rng_np.normal(size=(4, 8)))
     mem_a = Tensor(rng_np.normal(size=(6, 8)))
     mem_b = Tensor(rng_np.normal(size=(6, 8)))
@@ -187,9 +182,7 @@ def test_multi_head_cross_attends_to_memory(rng_np):
 
 
 def test_multi_head_gradients(rng_np):
-    cfg = AttentionConfig(d_model=4, n_heads=2)
-    store = ParameterStore(seed=5)
-    params = AttentionParams.build(store, "attn", cfg)
+    store, params = make_params(d_model=4, n_heads=2, seed=5)
     x = Tensor(rng_np.normal(size=(3, 4)))
     probe = Tensor(rng_np.normal(size=(3, 4)))
 
@@ -260,8 +253,7 @@ def test_parameter_arrays_reject_in_place_writes(tiny_model, rng_np):
 
 
 def test_memo_skips_writable_arrays(rng_np):
-    cfg = AttentionConfig(d_model=4, n_heads=2)
-    store, params = make_params(cfg)
+    store, params = make_params(d_model=4, n_heads=2)
     x = Tensor(rng_np.normal(size=(3, 4)))
     params.w_out.data = params.w_out.data.copy()  # writable, assigned from outside
     with no_grad():

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import argparse
 import json
+import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from patchformer import MetricReport, load_checkpoint
-from patchformer.cli import ResultsTable, main, resolve_config
+from patchformer.cli import ResultsTable, RunConfig, build_parser, main, resolve_config
 from patchformer.data import load_csv
 from patchformer.errors import ConfigError, DataError
 
@@ -69,9 +72,24 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 def test_config_file_rejects_bad_value(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("epochs=ten\n")
-    with pytest.raises(ConfigError, match="epochs"):
-        resolve_config({}, str(cfg_file))
+    for key in ("epochs", "d_ff"):
+        cfg_file.write_text(f"{key}=ten\n")
+        with pytest.raises(ConfigError, match=key):
+            resolve_config({}, str(cfg_file))
+
+
+def subcommand_dests(name: str) -> set[str]:
+    """Destinations of every option the named subcommand registers, minus ``help``."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {action.dest for action in sub.choices[name]._actions} - {"help"}
+
+
+def test_train_flags_are_run_config_fields():
+    """Every train flag sets one RunConfig field and every field has a flag.
+
+    ``--config`` names a file of the same fields, so it is the one extra.
+    """
+    assert subcommand_dests("train") - {"config"} == {f.name for f in fields(RunConfig)}
 
 
 def test_missing_config_file_is_usage_error():
@@ -222,6 +240,46 @@ def test_evaluate_rejects_incompatible_geometry(cli_run, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--d-model", "999"), ("--n-heads", "7"), ("--patch-len", "4"), ("--epochs", "50"),
+        ("--lr", "5"), ("--batch-size", "3"), ("--seed", "3"), ("--channels", "gas"),
+    ],
+)
+def test_evaluate_refuses_flags_it_never_reads(cli_run, tmp_path, flag, value):
+    out = tmp_path / "eval"
+    code = main([
+        "evaluate", "--checkpoint", str(cli_run["run"] / "model_best.npz"),
+        "--data", str(cli_run["data"]), "--out-dir", str(out), flag, value,
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_forecast_reports_bad_checkpoint_config_as_data_error(cli_run, tmp_path, capsys):
+    table = load_csv(cli_run["data"])
+    window_csv = tmp_path / "window.csv"
+    from patchformer.data import save_csv
+
+    save_csv(table.slice_rows(0, 32), window_csv)
+    for key, value in (("bogus", 1), ("seq_len", "32")):
+        ckpt = tmp_path / "edited.npz"
+        shutil.copy(cli_run["run"] / "model_best.npz", ckpt)
+        with np.load(ckpt) as bundle:
+            arrays = dict(bundle)
+        meta = json.loads(str(arrays["meta"]))
+        meta["config"][key] = value
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(ckpt, **arrays)
+        code = main([
+            "forecast", "--checkpoint", str(ckpt), "--window", str(window_csv),
+            "--out-file", str(tmp_path / "forecast.csv"),
+        ])
+        assert code == 2
+        assert f"{key}={value!r}" in capsys.readouterr().err
+
+
 def test_forecast_round_trip(cli_run, tmp_path):
     table = load_csv(cli_run["data"])
     window_csv = tmp_path / "window.csv"
@@ -314,6 +372,25 @@ def test_cli_gradcheck_corrupt_control_fails(capsys):
 
 def test_cli_gradcheck_caps_model_size():
     assert main(["gradcheck", "--d-model", "512"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--epochs", "50"), ("--lr", "5"), ("--batch-size", "3"), ("--mode", "univariate"),
+        ("--data", "absent.csv"), ("--synth-length", "10"), ("--out-dir", "elsewhere"),
+    ],
+)
+def test_cli_gradcheck_refuses_flags_it_never_reads(flag, value, capsys):
+    assert main(["gradcheck", flag, value]) == 1
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_cli_gradcheck_reads_seed_and_config(tmp_path, capsys):
+    cfg_file = tmp_path / "gc.cfg"
+    cfg_file.write_text("d_model=4\n")
+    assert main(["gradcheck", "--seed", "5", "--config", str(cfg_file)]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_cli_sweep_lookback(tmp_path):

@@ -199,7 +199,8 @@ def test_scaler_oracle():
 
 
 def test_scaler_survives_constant_channel():
-    scaler = Scaler.fit(np.full((5, 1), 42.0))
+    with pytest.warns(ConstantChannelWarning, match="channel 0 is constant"):
+        scaler = Scaler.fit(np.full((5, 1), 42.0))
     out = scaler.transform(np.full((5, 1), 42.0))
     assert np.all(np.isfinite(out))
     np.testing.assert_array_equal(out, np.zeros((5, 1)))
@@ -305,7 +306,7 @@ def test_synthetic_noise_free_matches_closed_form():
     table = generate_synthetic_multienergy(spec)
     t = np.arange(300, dtype=np.float64)
     for index in range(4):
-        np.testing.assert_array_equal(table.values[:, index], _channel_wave(spec, index, t))
+        np.testing.assert_array_equal(table.values[:, index], _channel_wave(index, t))
 
 
 def test_synthetic_ghg_is_mix_of_combustion_channels():

@@ -10,8 +10,8 @@ import pytest
 
 from patchformer import (
     EmbeddingParams,
+    ModelConfig,
     ParameterStore,
-    PatchConfig,
     Tensor,
     compute_patch_count,
     pad_last,
@@ -21,30 +21,24 @@ from patchformer import (
 from patchformer.errors import CapacityError, ConfigError, ShapeError
 
 
-def cfg(patch_len=16, stride=8, d_model=4, max_patches=64):
-    return PatchConfig(
-        patch_len=patch_len, stride=stride, d_model=d_model, max_patches=max_patches
-    )
-
-
 # -- patch-count oracles ---------------------------------------------------------
 
 
 def test_patch_count_reference_geometry():
-    assert compute_patch_count(96, cfg()) == 12
+    assert compute_patch_count(96, 16, 8) == 12
 
 
 def test_patch_count_long_lookback():
-    assert compute_patch_count(336, cfg()) == 42
+    assert compute_patch_count(336, 16, 8) == 42
 
 
 def test_patch_count_minimum_series():
-    assert compute_patch_count(16, cfg()) == 2
+    assert compute_patch_count(16, 16, 8) == 2
 
 
 def test_patch_count_rejects_short_series():
     with pytest.raises(ShapeError):
-        compute_patch_count(15, cfg())
+        compute_patch_count(15, 16, 8)
 
 
 def test_patch_count_brute_force_property(rng_np):
@@ -53,10 +47,9 @@ def test_patch_count_brute_force_property(rng_np):
         patch_len = int(rng_np.integers(1, 24))
         stride = int(rng_np.integers(1, patch_len + 1))
         series_len = int(rng_np.integers(patch_len, 200))
-        geometry = cfg(patch_len=patch_len, stride=stride, max_patches=1000)
         padded = series_len + stride
         counted = len(range(0, padded - patch_len + 1, stride))
-        assert compute_patch_count(series_len, geometry) == counted, (
+        assert compute_patch_count(series_len, patch_len, stride) == counted, (
             f"I={series_len} P={patch_len} S={stride}"
         )
 
@@ -64,10 +57,9 @@ def test_patch_count_brute_force_property(rng_np):
 # -- slicing ----------------------------------------------------------------------
 
 
-def patch_grid(x, geometry: PatchConfig) -> np.ndarray:
+def patch_grid(x, patch_len: int, stride: int) -> np.ndarray:
     """The (Z, patch_len) grid ``patch_embed`` projects: pad, then unfold."""
-    padded = pad_last(Tensor(x), geometry.stride)
-    return unfold_windows(padded, geometry.patch_len, geometry.stride).data
+    return unfold_windows(pad_last(Tensor(x), stride), patch_len, stride).data
 
 
 def test_pad_series_repeats_last_value():
@@ -76,9 +68,8 @@ def test_pad_series_repeats_last_value():
 
 
 def test_patch_series_oracle():
-    geometry = cfg(patch_len=4, stride=2, max_patches=16)
-    grid = patch_grid(np.arange(1.0, 11.0), geometry)
-    assert grid.shape == (5, 4) and compute_patch_count(10, geometry) == 5
+    grid = patch_grid(np.arange(1.0, 11.0), 4, 2)
+    assert grid.shape == (5, 4) and compute_patch_count(10, 4, 2) == 5
     assert grid.tolist() == [
         [1.0, 2.0, 3.0, 4.0],
         [3.0, 4.0, 5.0, 6.0],
@@ -89,51 +80,46 @@ def test_patch_series_oracle():
 
 
 def test_patch_series_non_overlapping():
-    geometry = cfg(patch_len=2, stride=2, max_patches=16)
-    grid = patch_grid(np.arange(1.0, 7.0), geometry)
+    grid = patch_grid(np.arange(1.0, 7.0), 2, 2)
     assert grid.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [6.0, 6.0]]
 
 
 def test_patch_series_rejects_short_input():
-    geometry = cfg(patch_len=4, stride=2)
-    store, params = build_embedding(geometry)
+    store, params = build_embedding(patch_len=4, stride=2)
     with pytest.raises(ShapeError):
-        compute_patch_count(3, geometry)
+        compute_patch_count(3, 4, 2)
     with pytest.raises(ShapeError):
-        patch_embed(Tensor(np.ones(3)), params, geometry)
+        patch_embed(Tensor(np.ones(3)), params)
 
 
 # -- embedding --------------------------------------------------------------------
 
 
-def build_embedding(geometry, seed=0):
+def build_embedding(patch_len=16, stride=8, d_model=4, max_patches=64, seed=0):
     store = ParameterStore(seed=seed)
-    return store, EmbeddingParams.build(store, "embed", geometry)
+    return store, EmbeddingParams.build(store, "embed", patch_len, stride, d_model, max_patches)
 
 
 def test_patch_embed_shape():
-    geometry = cfg(patch_len=4, stride=2, d_model=6, max_patches=16)
-    store, params = build_embedding(geometry)
-    out = patch_embed(Tensor(np.ones(10)), params, geometry)
+    store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=16)
+    out = patch_embed(Tensor(np.ones(10)), params)
     assert out.shape == (5, 6)
 
 
 def test_patch_embed_batched_shape():
-    geometry = cfg(patch_len=4, stride=2, d_model=6, max_patches=16)
-    store, params = build_embedding(geometry)
-    out = patch_embed(Tensor(np.ones((3, 10))), params, geometry)
+    store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=16)
+    out = patch_embed(Tensor(np.ones((3, 10))), params)
     assert out.shape == (3, 5, 6)
 
 
 def test_patch_embed_is_affine_in_input(rng_np):
     """Fixing the weights, the map x -> embed(x) - embed(0) must be linear."""
-    geometry = cfg(patch_len=4, stride=2, d_model=6, max_patches=16)
-    store, params = build_embedding(geometry)
+    store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=16)
     x = rng_np.normal(size=10)
     y = rng_np.normal(size=10)
 
     def run(v):
-        return patch_embed(Tensor(v), params, geometry).data
+        return patch_embed(Tensor(v), params).data
 
     zero = run(np.zeros(10))
     lhs = run(2.0 * x + 3.0 * y) - zero
@@ -142,35 +128,32 @@ def test_patch_embed_is_affine_in_input(rng_np):
 
 
 def test_patch_embed_position_rows_add(rng_np):
-    geometry = cfg(patch_len=4, stride=2, d_model=6, max_patches=16)
-    store, params = build_embedding(geometry)
+    store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=16)
     x = rng_np.normal(size=10)
-    out = patch_embed(Tensor(x), params, geometry).data
-    grid = patch_grid(x, geometry)
+    out = patch_embed(Tensor(x), params).data
+    grid = patch_grid(x, 4, 2)
     expected = grid @ params.value_weight.data + params.position.data[:5]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_patch_embed_capacity_error():
-    geometry = cfg(patch_len=4, stride=2, d_model=6, max_patches=3)
-    store, params = build_embedding(geometry)
+    store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=3)
     with pytest.raises(CapacityError):
-        patch_embed(Tensor(np.ones(10)), params, geometry)
+        patch_embed(Tensor(np.ones(10)), params)
 
 
 def test_patch_embed_rejects_short_series():
-    geometry = cfg(patch_len=8, stride=4, d_model=6, max_patches=16)
-    store, params = build_embedding(geometry)
+    store, params = build_embedding(patch_len=8, stride=4, d_model=6, max_patches=16)
     with pytest.raises(ShapeError):
-        patch_embed(Tensor(np.ones(7)), params, geometry)
+        patch_embed(Tensor(np.ones(7)), params)
 
 
 def test_patch_config_validation():
     with pytest.raises(ConfigError):
-        PatchConfig(patch_len=0, stride=1, d_model=4, max_patches=8)
+        compute_patch_count(16, patch_len=0, stride=1)
     with pytest.raises(ConfigError):
-        PatchConfig(patch_len=4, stride=0, d_model=4, max_patches=8)
+        compute_patch_count(16, patch_len=4, stride=0)
     with pytest.raises(ConfigError):
-        PatchConfig(patch_len=4, stride=8, d_model=4, max_patches=8)
+        compute_patch_count(16, patch_len=4, stride=8)
     with pytest.raises(ConfigError):
-        PatchConfig(patch_len=4, stride=2, d_model=0, max_patches=8)
+        ModelConfig(seq_len=16, pred_len=8, n_channels=1, patch_len=4, stride=2, d_model=0)

@@ -1,6 +1,8 @@
 """Tests for layer norm, feed-forward, the two stacks, and checkpointing."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,9 +193,12 @@ def test_reference_geometry_patch_counts():
     assert cfg.ffn_width == 2048
     from patchformer import compute_patch_count
 
-    assert compute_patch_count(cfg.seq_len, cfg.patching) == 12
-    assert compute_patch_count(cfg.decoder_len, cfg.patching) == 18
-    assert cfg.patching.max_patches == 18
+    assert compute_patch_count(cfg.seq_len, cfg.patch_len, cfg.stride) == 12
+    assert compute_patch_count(cfg.decoder_len, cfg.patch_len, cfg.stride) == 18
+    # The position table holds max(12, 18) rows; its height depends only on
+    # the geometry, so a narrow model shows it without a D=512 build.
+    narrow = PatchformerModel.build(replace(cfg, d_model=8, n_heads=2))
+    assert narrow.embedding.position.shape[0] == 18
 
 
 def test_config_validation():
@@ -207,6 +212,9 @@ def test_config_validation():
         reference_cfg(pred_len=0)
     with pytest.raises(ConfigError):
         reference_cfg(stride=5)  # wider than the patch
+    for d_model, n_heads in ((0, 2), (8, 0), (-8, 2), (6, 4)):
+        with pytest.raises(ConfigError, match="multiple of n_heads"):
+            reference_cfg(d_model=d_model, n_heads=n_heads)
 
 
 # -- whole model -----------------------------------------------------------------
@@ -291,10 +299,11 @@ def test_extra_channels_reuse_same_weights(rng_np):
     np.testing.assert_array_equal(large[:, :2], small)
 
 
-def test_dropout_training_path_needs_rng(tiny_model, rng_np):
+def test_dropout_training_path_needs_rng(tiny_config, rng_np):
+    model = PatchformerModel.build(replace(tiny_config, dropout=0.5))
     x = rng_np.normal(size=(1, 16, 2))
     with pytest.raises(ConfigError):
-        tiny_model.forward_batch(x, training=True, dropout_rate=0.5, rng=None)
+        model.forward_batch(x, training=True, rng=None)
 
 
 def test_whole_model_gradcheck(tiny_model, rng_np):
@@ -364,18 +373,43 @@ def rewrite_meta(path, edit) -> None:
     np.savez(path, **arrays)
 
 
-def test_load_checkpoint_reads_null_d_v(tiny_model, tmp_path, rng_np):
-    """Format-1 files written while configs had a ``d_v`` field store it as null."""
+RETIRED_KEYS = pytest.mark.parametrize("key", ["d_v", "d_k"])
+
+
+@RETIRED_KEYS
+def test_load_checkpoint_reads_null_retired_key(key, tiny_model, tmp_path, rng_np):
+    """Format-1 files written while configs had ``d_v`` and ``d_k`` fields store them as null."""
     path = save_checkpoint(tiny_model, tmp_path / "model.npz")
-    rewrite_meta(path, lambda meta: meta["config"].update(d_v=None))
+    rewrite_meta(path, lambda meta: meta["config"].update({key: None}))
     x = rng_np.normal(size=(16, 2))
     np.testing.assert_array_equal(load_checkpoint(path).model.forward(x), tiny_model.forward(x))
 
 
-def test_load_checkpoint_rejects_narrow_d_v(tiny_model, tmp_path):
+@RETIRED_KEYS
+def test_load_checkpoint_rejects_narrow_retired_key(key, tiny_model, tmp_path):
     path = save_checkpoint(tiny_model, tmp_path / "model.npz")
-    rewrite_meta(path, lambda meta: meta["config"].update(d_v=4))
-    with pytest.raises(DataError, match="d_v=4"):
+    rewrite_meta(path, lambda meta: meta["config"].update({key: 4}))
+    with pytest.raises(DataError, match=f"{key}=4"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: c.update(bogus=1), "bogus=1"),
+        (lambda c: c.update(seq_len="16"), "seq_len='16'"),
+        (lambda c: c.update(dropout="0.1"), "dropout='0.1'"),
+        (lambda c: c.update(d_ff=16.5), "d_ff=16.5"),
+        (lambda c: c.update(n_heads=True), "n_heads=True"),
+        (lambda c: c.update(seq_len=None), "seq_len=None"),
+        (lambda c: c.pop("n_channels"), "n_channels"),
+    ],
+    ids=["unknown-key", "str-int", "str-float", "float-int", "bool-int", "null-int", "missing"],
+)
+def test_load_checkpoint_rejects_bad_config_entry(edit, named, tiny_model, tmp_path):
+    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    rewrite_meta(path, lambda meta: edit(meta["config"]))
+    with pytest.raises(DataError, match=re.escape(named)):
         load_checkpoint(path)
 
 
