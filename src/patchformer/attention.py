@@ -8,11 +8,12 @@ matches a head-by-head loop.  Each head scores with d_model / n_heads columns.
 
 A block records four fused graph nodes: ``linear`` for the query and key
 projections, one ``attention_core`` (scores on head views of Q and K,
-scaling, softmax and the optional dropout mask done in place, then the mix
-of the raw key/value rows), and ``linear`` through the folded value-output
-map.  The core keeps only the softmax weights and the mask for backward; no
-head-split copy of Q, K or the output is made.  A single head is the
-``n_heads=1`` case of the same core.
+scaling, softmax and, in a training pass, the dropout mask done in place,
+then the mix of the raw key/value rows), and ``linear`` through the folded
+value-output map.  A pass trains exactly when it is given an ``rng``; without
+one it evaluates and no mask is drawn.  The core keeps only the softmax
+weights and the mask for backward; no head-split copy of Q, K or the output
+is made.  A single head is the ``n_heads=1`` case of the same core.
 
 The value and output projections are folded into one map per head.  With
 attention weights A_h, the output is the reassociated sum
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .params import ParameterStore, read_only
 # ``dropout`` and ``softmax_lastdim`` are unused here (the core applies both
 # inline) but stay module names: bench/spans.py rebinds ``attention.dropout``
@@ -119,28 +120,17 @@ def _frozen(values: np.ndarray) -> bool:
 
 
 def multi_head_attention(
-    x_q: Tensor,
-    x_kv: Tensor,
-    params: AttentionParams,
-    attn_dropout: float = 0.0,
-    rng=None,
-    training: bool = False,
-    return_weights: bool = False,
-):
+    x_q: Tensor, x_kv: Tensor, params: AttentionParams, rate: float = 0.0, rng=None
+) -> Tensor:
     """Attend per head, concatenate, and map back to model width.
 
-    ``x_q`` and ``x_kv`` are (Z, d_model) or (B, Z, d_model); self-attention
-    passes the same tensor for both.  Dropout, when active, is applied to the
-    attention weights after the softmax.  Each head's weights mix the raw
-    ``x_kv`` rows, and the folded value-output map of ``params.value_out()``
-    takes the merged heads back to model width.  The returned weights are a
-    (B, H, Z_q, Z_kv) array, after dropout.
+    ``x_q`` and ``x_kv`` are (B, Z, d_model); self-attention passes the same
+    tensor for both.  Given an ``rng`` the pass trains: a dropout mask at
+    ``rate`` is drawn from it and applied to the attention weights after the
+    softmax.  Without one the pass evaluates and draws nothing.  Each head's
+    weights mix the raw ``x_kv`` rows, and the folded value-output map of
+    ``params.value_out()`` takes the merged heads back to model width.
     """
-    squeeze = x_q.ndim == 2
-    if squeeze:
-        x_q = x_q.reshape(1, *x_q.shape)
-    if x_kv.ndim == 2:
-        x_kv = x_kv.reshape(1, *x_kv.shape)
     if x_q.ndim != 3 or x_kv.ndim != 3:
         raise ShapeError(
             f"attention inputs must be (B, Z, d_model), got {x_q.shape} and {x_kv.shape}"
@@ -152,18 +142,9 @@ def multi_head_attention(
 
     h = params.n_heads
     keep = None
-    if training and attn_dropout > 0.0:
-        if rng is None:
-            raise ConfigError("attention dropout in training mode needs an rng")
-        shape = (x_q.shape[0], h, x_q.shape[1], x_kv.shape[1])
-        keep = dropout_mask(shape, attn_dropout, rng)
+    if rng is not None and rate > 0.0:
+        keep = dropout_mask((x_q.shape[0], h, x_q.shape[1], x_kv.shape[1]), rate, rng)
     q = linear(x_q, params.w_query)
     k = linear(x_kv, params.w_key)
-    merged, weights = attention_core(q, k, x_kv, h, keep)
-    out = linear(merged, params.value_out())
-    if squeeze:
-        out = out.reshape(*out.shape[1:])
-        weights = weights[0]
-    if return_weights:
-        return out, weights
-    return out
+    merged, _ = attention_core(q, k, x_kv, h, keep)
+    return linear(merged, params.value_out())

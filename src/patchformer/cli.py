@@ -2,8 +2,9 @@
 
 Configuration precedence is dataclass defaults, then a flat KEY=VALUE config
 file, then explicit command-line flags.  Every run writes a manifest with the
-fully resolved configuration, the seed, and the package version, so a run can
-be reproduced from its output directory alone.
+fully resolved configuration it read and the package version, so a run can be
+reproduced from its output directory alone; ``evaluate`` adds each
+checkpoint's model configuration.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 numerical failure (divergence, failed gradient check, non-finite values).
@@ -305,15 +306,9 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
     )
 
 
-def write_manifest(cfg: RunConfig, command: str, out_dir: Path, extra: dict | None = None) -> Path:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": asdict(cfg),
-    }
-    if extra:
-        manifest.update(extra)
+def write_manifest(command: str, out_dir: Path, config: dict, **extra) -> Path:
+    """Write ``manifest.json``: command, package version, the settings read, then ``extra``."""
+    manifest = {"command": command, "version": __version__, "config": config, **extra}
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -335,14 +330,15 @@ class TrainOutputs:
 
 def run_train(cfg: RunConfig, write_files: bool = True) -> TrainOutputs:
     """Full training pipeline; the returned model holds the best-val weights."""
+    train_cfg = cfg.train_config()
     prepared = prepare_data(cfg)
     model = PatchformerModel.build(cfg.model_config(len(prepared.channel_names)))
     out_dir = Path(cfg.out_dir)
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(cfg, "train", out_dir, {"dataset": prepared.dataset_name})
+        write_manifest("train", out_dir, asdict(cfg), seed=cfg.seed, dataset=prepared.dataset_name)
 
-    result = train(model, prepared.train, prepared.val, cfg.train_config())
+    result = train(model, prepared.train, prepared.val, train_cfg)
 
     if write_files:
         write_loss_trace(result.trace, out_dir / "loss_trace.csv")
@@ -389,7 +385,8 @@ def run_lookback_sweep(
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_manifest(
-            cfg, "sweep", out_dir, {"kind": "lookback", "lookbacks": lookbacks, "pred_lens": pred_lens}
+            "sweep", out_dir, asdict(cfg), seed=cfg.seed,
+            kind="lookback", lookbacks=lookbacks, pred_lens=pred_lens,
         )
     results = ResultsTable()
     for pred_len in pred_lens:
@@ -423,7 +420,9 @@ def run_protocol_comparison(
     out_dir = Path(cfg.out_dir)
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(cfg, "sweep", out_dir, {"kind": "protocol", "subset": list(subset)})
+        write_manifest(
+            "sweep", out_dir, asdict(cfg), seed=cfg.seed, kind="protocol", subset=list(subset)
+        )
     results = ResultsTable()
 
     joint_cfg = replace(
@@ -477,11 +476,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The RunConfig fields evaluate reads; each checkpoint fixes its own model.
+_EVALUATE_FIELDS = (
+    "data", "synth_length", "synth_channels", "synth_seed", "synth_noise_std", "mode", "out_dir",
+)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _cli_config(args)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    name, source = _load_table(cfg)
     results = ResultsTable()
+    evaluated = []
     for checkpoint_path in args.checkpoint:
         bundle = load_checkpoint(checkpoint_path)
         model = bundle.model
@@ -493,7 +500,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     f"checkpoint {checkpoint_path} was trained with "
                     f"{field_name}={have}, not {wanted}"
                 )
-        name, table = _load_table(cfg)
+        table = source
         if bundle.channel_names is not None:
             table = table.select_channels(bundle.channel_names)
         scaler = bundle.scaler()
@@ -504,11 +511,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         baseline = repeat_last_report(test, model.cfg.seq_len, model.cfg.pred_len)
         results.add(name, "patchformer", model.cfg.pred_len, cfg.mode, report)
         results.add(name, "repeat_last", model.cfg.pred_len, cfg.mode, baseline)
+        evaluated.append({"path": checkpoint_path, "model": asdict(model.cfg)})
         print(
             f"{checkpoint_path}: test mse {report.mse:.6f}  mae {report.mae:.6f}  "
             f"(baseline mse {baseline.mse:.6f})"
         )
-    write_manifest(cfg, "evaluate", out_dir, {"checkpoints": list(args.checkpoint)})
+    config = {key: getattr(cfg, key) for key in _EVALUATE_FIELDS}
+    write_manifest("evaluate", out_dir, config, checkpoints=evaluated)
     results.write(out_dir)
     print(f"results in {out_dir}")
     return EXIT_OK
@@ -722,10 +731,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score checkpoints on the test split")
-    # The checkpoint fixes the model and its channels; the flags pick the data.
+    # The checkpoint fixes the model and its channels; the flags pick the data
+    # and check the checkpoints' lengths.
     _add_run_flags(
-        p_eval, "--config", "--out-dir", "--data", "--synth-length", "--synth-channels",
-        "--synth-seed", "--synth-noise-std", "--seq-len", "--pred-len", "--mode",
+        p_eval, "--config", "--seq-len", "--pred-len",
+        *("--" + key.replace("_", "-") for key in _EVALUATE_FIELDS),
     )
     p_eval.add_argument(
         "--checkpoint", action="append", required=True, help="checkpoint file (repeatable)"
@@ -751,7 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_synth = sub.add_parser("synth", help="write a synthetic multi-energy CSV")
-    _add_run_flags(p_synth, "general", "data")
+    _add_run_flags(
+        p_synth, "--config", "--out-dir", "--synth-length", "--synth-channels", "--synth-seed",
+        "--synth-noise-std",
+    )
     p_synth.add_argument("--out-file", help="CSV path (default <out-dir>/synthetic.csv)")
     p_synth.set_defaults(func=cmd_synth)
 

@@ -314,8 +314,8 @@ class SyntheticSpec:
             raise ConfigError(f"length must be positive, got {self.length}")
         if self.channels < 1:
             raise ConfigError(f"channels must be positive, got {self.channels}")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be non-negative, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and non-negative, got {self.noise_std}")
 
 
 def _channel_wave(index: int, t: np.ndarray) -> np.ndarray:

@@ -12,6 +12,10 @@ block, softmax per row, and matmul rows that are independent of one another.
 Normalisation follows the residual sums: each sublayer output is added to its
 input and the sum is normalised over both the patch and feature axes, with a
 learnable per-feature scale and shift.
+
+A forward trains exactly when it is given an ``rng``: it then draws dropout
+masks at ``ModelConfig.dropout`` from that stream, in a fixed order.  With
+``rng=None`` it evaluates and draws nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = 1
+LAYER_NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,6 @@ class ModelConfig:
     n_encoder_layers: int = 2
     n_decoder_layers: int = 1
     dropout: float = 0.1
-    layer_norm_eps: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
@@ -81,6 +85,8 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} must be a positive multiple of n_heads {self.n_heads}"
             )
+        if self.d_ff is not None and self.d_ff < 1:
+            raise ConfigError(f"d_ff must be positive, got {self.d_ff}")
         if self.patch_len < 1 or not 1 <= self.stride <= self.patch_len:
             raise ConfigError(
                 f"need 1 <= stride <= patch_len, got stride {self.stride} "
@@ -117,7 +123,7 @@ class LayerNormParams:
 
     @classmethod
     def build(
-        cls, store: ParameterStore, prefix: str, d_model: int, eps: float
+        cls, store: ParameterStore, prefix: str, d_model: int, eps: float = LAYER_NORM_EPS
     ) -> "LayerNormParams":
         return cls(
             gamma=store.ones(f"{prefix}.gamma", (d_model,)),
@@ -169,25 +175,19 @@ class EncoderLayerParams:
     def build(cls, store: ParameterStore, prefix: str, cfg: ModelConfig) -> "EncoderLayerParams":
         return cls(
             attn=AttentionParams.build(store, f"{prefix}.self_attn", cfg.d_model, cfg.n_heads),
-            norm1=LayerNormParams.build(store, f"{prefix}.norm1", cfg.d_model, cfg.layer_norm_eps),
+            norm1=LayerNormParams.build(store, f"{prefix}.norm1", cfg.d_model),
             ffn=FeedForwardParams.build(store, f"{prefix}.ffn", cfg.d_model, cfg.ffn_width),
-            norm2=LayerNormParams.build(store, f"{prefix}.norm2", cfg.d_model, cfg.layer_norm_eps),
+            norm2=LayerNormParams.build(store, f"{prefix}.norm2", cfg.d_model),
         )
 
 
 def encoder_layer(
-    x: Tensor,
-    p: EncoderLayerParams,
-    rate: float = 0.0,
-    rng: Rng | None = None,
-    training: bool = False,
+    x: Tensor, p: EncoderLayerParams, rate: float = 0.0, rng: Rng | None = None
 ) -> Tensor:
-    attended = multi_head_attention(
-        x, x, p.attn, attn_dropout=rate, rng=rng, training=training
-    )
-    x = layer_norm(x + dropout(attended, rate, rng, training), p.norm1)
+    attended = multi_head_attention(x, x, p.attn, rate, rng)
+    x = layer_norm(x + dropout(attended, rate, rng), p.norm1)
     lifted = feed_forward(x, p.ffn)
-    return layer_norm(x + dropout(lifted, rate, rng, training), p.norm2)
+    return layer_norm(x + dropout(lifted, rate, rng), p.norm2)
 
 
 @dataclass
@@ -203,32 +203,23 @@ class DecoderLayerParams:
     def build(cls, store: ParameterStore, prefix: str, cfg: ModelConfig) -> "DecoderLayerParams":
         return cls(
             self_attn=AttentionParams.build(store, f"{prefix}.self_attn", cfg.d_model, cfg.n_heads),
-            norm1=LayerNormParams.build(store, f"{prefix}.norm1", cfg.d_model, cfg.layer_norm_eps),
+            norm1=LayerNormParams.build(store, f"{prefix}.norm1", cfg.d_model),
             cross_attn=AttentionParams.build(store, f"{prefix}.cross_attn", cfg.d_model, cfg.n_heads),
-            norm2=LayerNormParams.build(store, f"{prefix}.norm2", cfg.d_model, cfg.layer_norm_eps),
+            norm2=LayerNormParams.build(store, f"{prefix}.norm2", cfg.d_model),
             ffn=FeedForwardParams.build(store, f"{prefix}.ffn", cfg.d_model, cfg.ffn_width),
-            norm3=LayerNormParams.build(store, f"{prefix}.norm3", cfg.d_model, cfg.layer_norm_eps),
+            norm3=LayerNormParams.build(store, f"{prefix}.norm3", cfg.d_model),
         )
 
 
 def decoder_layer(
-    x: Tensor,
-    memory: Tensor,
-    p: DecoderLayerParams,
-    rate: float = 0.0,
-    rng: Rng | None = None,
-    training: bool = False,
+    x: Tensor, memory: Tensor, p: DecoderLayerParams, rate: float = 0.0, rng: Rng | None = None
 ) -> Tensor:
-    attended = multi_head_attention(
-        x, x, p.self_attn, attn_dropout=rate, rng=rng, training=training
-    )
-    x = layer_norm(x + dropout(attended, rate, rng, training), p.norm1)
-    crossed = multi_head_attention(
-        x, memory, p.cross_attn, attn_dropout=rate, rng=rng, training=training
-    )
-    x = layer_norm(x + dropout(crossed, rate, rng, training), p.norm2)
+    attended = multi_head_attention(x, x, p.self_attn, rate, rng)
+    x = layer_norm(x + dropout(attended, rate, rng), p.norm1)
+    crossed = multi_head_attention(x, memory, p.cross_attn, rate, rng)
+    x = layer_norm(x + dropout(crossed, rate, rng), p.norm2)
     lifted = feed_forward(x, p.ffn)
-    return layer_norm(x + dropout(lifted, rate, rng, training), p.norm3)
+    return layer_norm(x + dropout(lifted, rate, rng), p.norm3)
 
 
 class PatchformerModel:
@@ -272,13 +263,11 @@ class PatchformerModel:
         label = x[..., cfg.seq_len - cfg.label_len :]
         return concat([label, zeros], axis=-1)
 
-    def forward_series(
-        self,
-        x,
-        training: bool = False,
-        rng: Rng | None = None,
-    ) -> Tensor:
-        """Forecast a batch of single-channel series: (B, seq_len) -> (B, pred_len)."""
+    def forward_series(self, x, rng: Rng | None = None) -> Tensor:
+        """Forecast a batch of single-channel series: (B, seq_len) -> (B, pred_len).
+
+        Trains with dropout masks drawn from ``rng``; evaluates when it is None.
+        """
         xt = x if isinstance(x, Tensor) else Tensor(x)
         if xt.ndim != 2:
             raise ShapeError(f"forward_series expects (batch, seq_len), got {xt.shape}")
@@ -287,18 +276,13 @@ class PatchformerModel:
                 f"series length {xt.shape[1]} != configured seq_len {self.cfg.seq_len}"
             )
         rate = self.cfg.dropout
-        if training and rate > 0.0 and rng is None:
-            raise ConfigError("training-mode forward with dropout needs an rng")
-
-        memory = patch_embed(xt, self.embedding)
-        memory = dropout(memory, rate, rng, training)
+        memory = dropout(patch_embed(xt, self.embedding), rate, rng)
         for layer in self.encoder_layers:
-            memory = encoder_layer(memory, layer, rate, rng, training)
+            memory = encoder_layer(memory, layer, rate, rng)
 
-        decoded = patch_embed(self.decoder_series(xt), self.embedding)
-        decoded = dropout(decoded, rate, rng, training)
+        decoded = dropout(patch_embed(self.decoder_series(xt), self.embedding), rate, rng)
         for layer in self.decoder_layers:
-            decoded = decoder_layer(decoded, memory, layer, rate, rng, training)
+            decoded = decoder_layer(decoded, memory, layer, rate, rng)
 
         flat = decoded.reshape(xt.shape[0], self.z_decoder * self.cfg.d_model)
         return linear(flat, self.head_weight)
@@ -306,7 +290,7 @@ class PatchformerModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forecast one multivariate window: (seq_len, C) -> (pred_len, C).
 
-        Evaluation mode only.  The C channels form the batch of one
+        Evaluation only.  The C channels form the batch of one
         ``forward_series`` pass, the same fold ``forward_batch`` makes.  Each
         series row is computed on its own, so permuting input channels
         permutes the output bit for bit.
@@ -321,16 +305,12 @@ class PatchformerModel:
             out = self.forward_series(np.ascontiguousarray(x.T))
         return np.ascontiguousarray(out.data.T)
 
-    def forward_batch(
-        self,
-        x: np.ndarray,
-        training: bool = False,
-        rng: Rng | None = None,
-    ) -> Tensor:
+    def forward_batch(self, x: np.ndarray, rng: Rng | None = None) -> Tensor:
         """Forecast a batch of windows: (B, seq_len, C) -> Tensor (B, pred_len, C).
 
         Channels are folded into the batch axis and run in one pass, which
-        keeps the graph small and the matmuls large.
+        keeps the graph small and the matmuls large.  Trains with dropout
+        masks drawn from ``rng``; evaluates when it is None.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != self.cfg.seq_len or x.shape[2] != self.cfg.n_channels:
@@ -340,7 +320,7 @@ class PatchformerModel:
             )
         b, _, c = x.shape
         folded = np.ascontiguousarray(np.transpose(x, (0, 2, 1))).reshape(b * c, -1)
-        out = self.forward_series(folded, training=training, rng=rng)
+        out = self.forward_series(folded, rng)
         return out.reshape(b, c, self.cfg.pred_len).transpose((0, 2, 1))
 
 
@@ -414,17 +394,18 @@ def save_checkpoint(
     return path
 
 
+# Keys that older format-1 files carry, with the one value each ever held:
+# head widths now follow d_model and n_heads, and layer norm uses
+# LAYER_NORM_EPS.  Any other value describes a model this code cannot build.
+_RETIRED_KEYS = {"d_v": None, "d_k": None, "layer_norm_eps": LAYER_NORM_EPS}
+
+
 def _config_from_meta(path: Path, config: dict) -> ModelConfig:
     """The ``ModelConfig`` a checkpoint records; ``DataError`` names a bad key or value."""
-    # Format 1 files from before the head widths were fixed by d_model and
-    # n_heads carry "d_v": null and "d_k": null; any other value describes a
-    # model this code cannot build.
-    for retired in ("d_v", "d_k"):
-        value = config.pop(retired, None)
-        if value is not None:
-            raise DataError(
-                f"{path}: unsupported {retired}={value!r}; head widths follow d_model and n_heads"
-            )
+    for key, only in _RETIRED_KEYS.items():
+        value = config.pop(key, only)
+        if value != only:
+            raise DataError(f"{path}: unsupported {key}={value!r}; this version builds {only!r}")
     kinds = {f.name: f.type for f in fields(ModelConfig)}
     accepts = {"int": int, "int | None": (int, type(None)), "float": (int, float)}
     for key, value in config.items():
@@ -435,6 +416,8 @@ def _config_from_meta(path: Path, config: dict) -> ModelConfig:
         return ModelConfig(**config)
     except TypeError as exc:  # a required key is missing
         raise DataError(f"{path}: incomplete model config: {exc}") from None
+    except ConfigError as exc:  # a value out of range
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -466,11 +466,9 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _record(out, (a,), vjp, "softmax")
 
 
-def dropout(a: Tensor, rate: float, rng, training: bool) -> Tensor:
-    """Inverted dropout: active only in training mode, identity otherwise."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+def dropout(a: Tensor, rate: float, rng) -> Tensor:
+    """Inverted dropout: masks drawn from ``rng``; identity when ``rng`` is None."""
+    if rng is None or rate == 0.0:
         return a
     keep = dropout_mask(a.shape, rate, rng)
 

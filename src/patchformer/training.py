@@ -68,30 +68,25 @@ def mae_metric(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(np.abs(_metric_diff(pred, target))))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First and second moment estimates keyed by parameter name."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def init(
-        cls,
-        params: ParameterStore,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def init(cls, params: ParameterStore, lr: float) -> "AdamState":
         if lr < 0:
             raise ConfigError(f"learning rate must be non-negative, got {lr}")
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        state = cls(lr=lr)
         for name, tensor in params.items():
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
@@ -102,15 +97,15 @@ def adam_step(params: ParameterStore, state: AdamState) -> None:
     """One bias-corrected Adam update; consumes and clears the gradients."""
     state.step_count += 1
     t = state.step_count
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     for name, tensor in params.items():
         grad = tensor.grad
         if grad is None:
             raise TrainingError(f"parameter {name!r} has no gradient; run backward first")
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * grad
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (grad * grad)
-        step = state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * grad
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (grad * grad)
+        step = state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
         tensor.data = read_only(tensor.data - step)
     params.zero_grads()
 
@@ -201,8 +196,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be non-negative, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and non-negative, got {self.lr}")
 
 
 @dataclass
@@ -265,7 +260,7 @@ def train(
             x = windows[picked, :seq_len]
             y = windows[picked, seq_len:]
             model.store.zero_grads()
-            pred = model.forward_batch(x, training=True, rng=dropout_rng.child(epoch, batch_idx))
+            pred = model.forward_batch(x, dropout_rng.child(epoch, batch_idx))
             loss = mse_loss(pred, y)
             batch_mse = loss.item()
             if not math.isfinite(batch_mse):

@@ -136,8 +136,8 @@ def test_config_defaults_and_divisibility():
 
 def test_multi_head_output_shape(rng_np):
     store, params = make_params(d_model=8, n_heads=2)
-    x = Tensor(rng_np.normal(size=(5, 8)))
-    assert multi_head_attention(x, x, params).shape == (5, 8)
+    x = Tensor(rng_np.normal(size=(1, 5, 8)))
+    assert multi_head_attention(x, x, params).shape == (1, 5, 8)
     xb = Tensor(rng_np.normal(size=(3, 5, 8)))
     assert multi_head_attention(xb, xb, params).shape == (3, 5, 8)
 
@@ -145,8 +145,8 @@ def test_multi_head_output_shape(rng_np):
 def test_multi_head_zero_projection_gives_zero(rng_np):
     store, params = make_params(d_model=8, n_heads=2)
     params.w_out.data = np.zeros_like(params.w_out.data)
-    x = Tensor(rng_np.normal(size=(5, 8)))
-    np.testing.assert_array_equal(multi_head_attention(x, x, params).data, np.zeros((5, 8)))
+    x = Tensor(rng_np.normal(size=(1, 5, 8)))
+    np.testing.assert_array_equal(multi_head_attention(x, x, params).data, np.zeros((1, 5, 8)))
 
 
 def test_multi_head_matches_manual_per_head_loop(rng_np):
@@ -154,7 +154,7 @@ def test_multi_head_matches_manual_per_head_loop(rng_np):
     store, params = make_params(d_model=8, n_heads=2, seed=3)
     x_q = rng_np.normal(size=(5, 8))
     x_kv = rng_np.normal(size=(7, 8))
-    out = multi_head_attention(Tensor(x_q), Tensor(x_kv), params).data
+    out = multi_head_attention(Tensor(x_q[None]), Tensor(x_kv[None]), params).data[0]
 
     d_k, d_v, heads = 4, 8, 2
     per_head = []
@@ -173,9 +173,9 @@ def test_multi_head_matches_manual_per_head_loop(rng_np):
 def test_multi_head_cross_attends_to_memory(rng_np):
     """Changing the memory must change the output (cross-attention is live)."""
     store, params = make_params(d_model=8, n_heads=2)
-    x_q = Tensor(rng_np.normal(size=(4, 8)))
-    mem_a = Tensor(rng_np.normal(size=(6, 8)))
-    mem_b = Tensor(rng_np.normal(size=(6, 8)))
+    x_q = Tensor(rng_np.normal(size=(1, 4, 8)))
+    mem_a = Tensor(rng_np.normal(size=(1, 6, 8)))
+    mem_b = Tensor(rng_np.normal(size=(1, 6, 8)))
     out_a = multi_head_attention(x_q, mem_a, params).data
     out_b = multi_head_attention(x_q, mem_b, params).data
     assert not np.allclose(out_a, out_b)
@@ -183,8 +183,8 @@ def test_multi_head_cross_attends_to_memory(rng_np):
 
 def test_multi_head_gradients(rng_np):
     store, params = make_params(d_model=4, n_heads=2, seed=5)
-    x = Tensor(rng_np.normal(size=(3, 4)))
-    probe = Tensor(rng_np.normal(size=(3, 4)))
+    x = Tensor(rng_np.normal(size=(1, 3, 4)))
+    probe = Tensor(rng_np.normal(size=(1, 3, 4)))
 
     def loss():
         return (multi_head_attention(x, x, params) * probe).sum()
@@ -254,19 +254,19 @@ def test_parameter_arrays_reject_in_place_writes(tiny_model, rng_np):
 
 def test_memo_skips_writable_arrays(rng_np):
     store, params = make_params(d_model=4, n_heads=2)
-    x = Tensor(rng_np.normal(size=(3, 4)))
+    x = Tensor(rng_np.normal(size=(1, 3, 4)))
     params.w_out.data = params.w_out.data.copy()  # writable, assigned from outside
     with no_grad():
         multi_head_attention(x, x, params)
         params.w_out.data[...] = 0.0
         out = multi_head_attention(x, x, params).data
-    np.testing.assert_array_equal(out, np.zeros((3, 4)))
+    np.testing.assert_array_equal(out, np.zeros((1, 3, 4)))
 
 
 def test_grad_mode_forward_equals_no_grad_forward(tiny_model, rng_np):
     assert tiny_model.cfg.dropout == 0.0
     x, _ = windows(rng_np, tiny_model.cfg)
-    recorded = tiny_model.forward_batch(x, training=True, rng=Rng(0)).data
+    recorded = tiny_model.forward_batch(x, rng=Rng(0)).data
     np.testing.assert_array_equal(recorded, no_grad_forward(tiny_model, x))
     np.testing.assert_array_equal(recorded, no_grad_forward(tiny_model, x))  # memoised
 
@@ -288,7 +288,7 @@ def graph_nodes(loss):
 def test_training_graph_never_projects_values(tiny_model, rng_np):
     """w_value only enters the graph through the folded product, never a GEMM with activations."""
     x, y = windows(rng_np, tiny_model.cfg)
-    loss = mse_loss(tiny_model.forward_batch(x, training=True, rng=Rng(0)), y)
+    loss = mse_loss(tiny_model.forward_batch(x, rng=Rng(0)), y)
     w_values = {id(t): name for name, t in tiny_model.store.items() if name.endswith(".w_value")}
     cfg = tiny_model.cfg
     assert len(w_values) == cfg.n_encoder_layers + 2 * cfg.n_decoder_layers
@@ -306,7 +306,7 @@ def test_training_graph_uses_one_node_per_norm_and_attention_block(tiny_config, 
     cfg = replace(tiny_config, dropout=0.1)
     model = PatchformerModel.build(cfg)
     x, y = windows(rng_np, cfg)
-    loss = mse_loss(model.forward_batch(x, training=True, rng=Rng(0)), y)
+    loss = mse_loss(model.forward_batch(x, rng=Rng(0)), y)
     ops = [node.op for node in graph_nodes(loss)]
     assert ops.count("layer_norm") == 2 * cfg.n_encoder_layers + 3 * cfg.n_decoder_layers
     assert ops.count("attention_core") == cfg.n_encoder_layers + 2 * cfg.n_decoder_layers

@@ -8,7 +8,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from patchformer import MetricReport, load_checkpoint
+from patchformer import (
+    MetricReport,
+    ModelConfig,
+    PatchformerModel,
+    load_checkpoint,
+    save_checkpoint,
+)
 from patchformer.cli import ResultsTable, RunConfig, build_parser, main, resolve_config
 from patchformer.data import load_csv
 from patchformer.errors import ConfigError, DataError
@@ -231,6 +237,30 @@ def test_evaluate_accepts_multiple_checkpoints(cli_run, tmp_path):
     assert len(manifest["checkpoints"]) == 2
 
 
+def test_evaluate_manifest_records_each_checkpoint_model(cli_run, tmp_path):
+    cfg = ModelConfig(
+        seq_len=32, pred_len=8, n_channels=3, patch_len=8, stride=4, d_model=8, n_heads=2,
+        d_ff=16,
+    )
+    narrow = save_checkpoint(
+        PatchformerModel.build(cfg), tmp_path / "d8.npz",
+        scaler_mean=np.zeros(3), scaler_std=np.ones(3),
+        channel_names=load_csv(cli_run["data"]).channel_names,
+    )
+    out = tmp_path / "eval"
+    code = main([
+        "evaluate", "--checkpoint", str(narrow),
+        "--checkpoint", str(cli_run["run"] / "model_best.npz"),
+        "--data", str(cli_run["data"]), "--out-dir", str(out),
+    ])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [entry["model"]["d_model"] for entry in manifest["checkpoints"]] == [8, 16]
+    assert manifest["checkpoints"][0]["path"] == str(narrow)
+    assert manifest["config"]["data"] == str(cli_run["data"])
+    assert "d_model" not in manifest["config"]
+
+
 def test_evaluate_rejects_incompatible_geometry(cli_run, tmp_path):
     code = main([
         "evaluate", "--checkpoint", str(cli_run["run"] / "model_best.npz"),
@@ -393,6 +423,15 @@ def test_cli_gradcheck_reads_seed_and_config(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "99"), ("--data", "absent.csv"), ("--channels", "gas")]
+)
+def test_synth_refuses_flags_it_never_reads(flag, value, tmp_path):
+    out_csv = tmp_path / "synth.csv"
+    assert main(["synth", "--synth-length", "50", "--out-file", str(out_csv), flag, value]) == 1
+    assert not out_csv.exists()
+
+
 def test_cli_sweep_lookback(tmp_path):
     out = tmp_path / "sweep"
     code = main([
@@ -425,6 +464,22 @@ def test_exit_code_usage_error():
 
 def test_exit_code_unknown_flag():
     assert main(["train", "--bogus-flag", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["train", "--lr", "nan"], "learning rate"),
+        (["train", "--d-ff", "0"], "d_ff must be positive"),
+        (["synth", "--synth-length", "50", "--synth-noise-std", "nan"], "noise_std"),
+    ],
+    ids=["lr-nan", "d-ff-0", "noise-std-nan"],
+)
+def test_exit_code_out_of_range_value(argv, named, cli_run, tmp_path, capsys):
+    data = ["--data", str(cli_run["data"]), *TINY_FLAGS] if argv[0] == "train" else []
+    out = str(tmp_path / "out")
+    assert main([argv[0], *data, *argv[1:], "--out-dir", out]) == 1
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,7 @@
 """Tests for layer norm, feed-forward, the two stacks, and checkpointing."""
 
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -152,7 +153,7 @@ def test_encoder_layer_with_dead_sublayers_is_double_norm(rng_np):
     store = ParameterStore(seed=0)
     params = EncoderLayerParams.build(store, "enc", cfg)
     zero_sublayer_weights(params)
-    x = rng_np.normal(size=(6, 8))
+    x = rng_np.normal(size=(1, 6, 8))
     out = encoder_layer(Tensor(x), params)
     expected = layer_norm(layer_norm(Tensor(x), params.norm1), params.norm2)
     np.testing.assert_allclose(out.data, expected.data, atol=1e-13)
@@ -162,9 +163,9 @@ def test_decoder_layer_uses_memory(rng_np):
     cfg = reference_cfg()
     store = ParameterStore(seed=0)
     params = DecoderLayerParams.build(store, "dec", cfg)
-    x = Tensor(rng_np.normal(size=(5, 8)))
-    mem_a = Tensor(rng_np.normal(size=(6, 8)))
-    mem_b = Tensor(rng_np.normal(size=(6, 8)))
+    x = Tensor(rng_np.normal(size=(1, 5, 8)))
+    mem_a = Tensor(rng_np.normal(size=(1, 6, 8)))
+    mem_b = Tensor(rng_np.normal(size=(1, 6, 8)))
     out_a = decoder_layer(x, mem_a, params).data
     out_b = decoder_layer(x, mem_b, params).data
     assert not np.allclose(out_a, out_b)
@@ -175,9 +176,9 @@ def test_decoder_layer_ignores_memory_when_cross_projection_dead(rng_np):
     store = ParameterStore(seed=0)
     params = DecoderLayerParams.build(store, "dec", cfg)
     params.cross_attn.w_out.data = np.zeros_like(params.cross_attn.w_out.data)
-    x = Tensor(rng_np.normal(size=(5, 8)))
-    mem_a = Tensor(rng_np.normal(size=(6, 8)))
-    mem_b = Tensor(rng_np.normal(size=(6, 8)))
+    x = Tensor(rng_np.normal(size=(1, 5, 8)))
+    mem_a = Tensor(rng_np.normal(size=(1, 6, 8)))
+    mem_b = Tensor(rng_np.normal(size=(1, 6, 8)))
     np.testing.assert_array_equal(
         decoder_layer(x, mem_a, params).data, decoder_layer(x, mem_b, params).data
     )
@@ -299,13 +300,6 @@ def test_extra_channels_reuse_same_weights(rng_np):
     np.testing.assert_array_equal(large[:, :2], small)
 
 
-def test_dropout_training_path_needs_rng(tiny_config, rng_np):
-    model = PatchformerModel.build(replace(tiny_config, dropout=0.5))
-    x = rng_np.normal(size=(1, 16, 2))
-    with pytest.raises(ConfigError):
-        model.forward_batch(x, training=True, rng=None)
-
-
 def test_whole_model_gradcheck(tiny_model, rng_np):
     x = rng_np.normal(size=(1, 16, 2))
     y = rng_np.normal(size=(1, 8, 2))
@@ -385,6 +379,14 @@ def test_load_checkpoint_reads_null_retired_key(key, tiny_model, tmp_path, rng_n
     np.testing.assert_array_equal(load_checkpoint(path).model.forward(x), tiny_model.forward(x))
 
 
+def test_load_checkpoint_reads_retired_layer_norm_eps(tiny_model, tmp_path, rng_np):
+    """Format-1 files written while configs had a ``layer_norm_eps`` field store it as 1e-05."""
+    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    rewrite_meta(path, lambda meta: meta["config"].update(layer_norm_eps=1e-05))
+    x = rng_np.normal(size=(16, 2))
+    np.testing.assert_array_equal(load_checkpoint(path).model.forward(x), tiny_model.forward(x))
+
+
 @RETIRED_KEYS
 def test_load_checkpoint_rejects_narrow_retired_key(key, tiny_model, tmp_path):
     path = save_checkpoint(tiny_model, tmp_path / "model.npz")
@@ -403,8 +405,15 @@ def test_load_checkpoint_rejects_narrow_retired_key(key, tiny_model, tmp_path):
         (lambda c: c.update(n_heads=True), "n_heads=True"),
         (lambda c: c.update(seq_len=None), "seq_len=None"),
         (lambda c: c.pop("n_channels"), "n_channels"),
+        (lambda c: c.update(dropout=1.5), "dropout must be in [0, 1), got 1.5"),
+        (lambda c: c.update(layer_norm_eps=math.nan), "layer_norm_eps=nan"),
+        (lambda c: c.update(layer_norm_eps=math.inf), "layer_norm_eps=inf"),
+        (lambda c: c.update(layer_norm_eps=1e-6), "layer_norm_eps=1e-06"),
     ],
-    ids=["unknown-key", "str-int", "str-float", "float-int", "bool-int", "null-int", "missing"],
+    ids=[
+        "unknown-key", "str-int", "str-float", "float-int", "bool-int", "null-int", "missing",
+        "dropout-out-of-range", "eps-nan", "eps-inf", "eps-other",
+    ],
 )
 def test_load_checkpoint_rejects_bad_config_entry(edit, named, tiny_model, tmp_path):
     path = save_checkpoint(tiny_model, tmp_path / "model.npz")

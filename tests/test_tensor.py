@@ -354,7 +354,7 @@ def test_grad_dropout_with_pinned_mask(rng_np):
     w = rng_np.normal(size=(4, 4))
 
     def fn(t):
-        return (dropout(t, 0.5, Rng(7).child(5), training=True) ** 2).sum()
+        return (dropout(t, 0.5, Rng(7).child(5)) ** 2).sum()
 
     check_primitive(fn, w)
 
@@ -364,19 +364,19 @@ def test_grad_dropout_with_pinned_mask(rng_np):
 
 def test_dropout_identity_when_not_training():
     x = Tensor(np.ones((3, 3)))
-    out = dropout(x, 0.5, Rng(0), training=False)
+    out = dropout(x, 0.5, None)
     assert out is x
 
 
 def test_dropout_identity_at_rate_zero():
     x = Tensor(np.ones((3, 3)))
-    out = dropout(x, 0.0, Rng(0), training=True)
+    out = dropout(x, 0.0, Rng(0))
     assert out is x
 
 
 def test_dropout_scales_survivors():
     x = Tensor(np.ones((100, 100)))
-    out = dropout(x, 0.5, Rng(0).child(1), training=True)
+    out = dropout(x, 0.5, Rng(0).child(1))
     values = np.unique(out.data)
     assert set(values.tolist()) == {0.0, 2.0}
     assert abs(out.data.mean() - 1.0) < 0.05
@@ -384,9 +384,9 @@ def test_dropout_scales_survivors():
 
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ConfigError):
-        dropout(Tensor(np.ones(3)), 1.0, Rng(0), training=True)
+        dropout(Tensor(np.ones(3)), 1.0, Rng(0))
     with pytest.raises(ConfigError):
-        dropout(Tensor(np.ones(3)), -0.1, Rng(0), training=True)
+        dropout(Tensor(np.ones(3)), -0.1, Rng(0))
 
 
 # -- fused primitives against the composite expressions they replace -------------

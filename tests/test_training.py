@@ -78,7 +78,7 @@ def test_adam_hundred_step_trajectory_matches_reference(rng_np):
 
     store = ParameterStore(seed=0)
     theta = store.add("theta", np.array([0.5]))
-    state = AdamState.init(store, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = AdamState.init(store, lr=lr)
     ours = []
     for g in grads:
         theta.grad = np.array([g])
