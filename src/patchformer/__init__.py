@@ -11,7 +11,7 @@ from .data import (
     make_windows,
     save_csv,
 )
-from .embedding import EmbeddingParams, compute_patch_count, patch_embed
+from .embedding import EmbeddingParams, compute_patch_count, patch_embed, patch_grid
 from .errors import (
     CapacityError,
     ConfigError,
@@ -34,7 +34,7 @@ from .model import (
     save_checkpoint,
 )
 from .params import ParameterStore, Rng
-from .tensor import Tensor, concat, dropout, no_grad, pad_last, unfold_windows
+from .tensor import Tensor, dropout, no_grad
 from .training import (
     AdamState,
     MetricReport,

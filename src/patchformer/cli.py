@@ -182,7 +182,8 @@ def resolve_config(
     """Apply precedence: dataclass defaults, then config file, then flags.
 
     ``base`` overrides the dataclass defaults before the file is read; the
-    gradcheck subcommand uses it to start from a deliberately tiny model.
+    gradcheck subcommand uses it to start from a deliberately tiny model, and
+    evaluate to tell lengths it was given from lengths nobody set.
     """
     known = {f.name for f in fields(RunConfig)}
     merged: dict = dict(base) if base else {}
@@ -483,7 +484,7 @@ _EVALUATE_FIELDS = (
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _cli_config(args)
+    cfg = resolve_config(vars(args), args.config, base={"seq_len": None, "pred_len": None})
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name, source = _load_table(cfg)
@@ -493,7 +494,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         bundle = load_checkpoint(checkpoint_path)
         model = bundle.model
         for field_name in ("seq_len", "pred_len"):
-            wanted = getattr(args, field_name)
+            wanted = getattr(cfg, field_name)
             have = getattr(model.cfg, field_name)
             if wanted is not None and wanted != have:
                 raise ConfigError(

@@ -2,25 +2,28 @@
 
 A length-I series is extended with ``stride`` copies of its final value and
 then cut into overlapping windows of ``patch_len`` every ``stride`` steps,
-giving Z = floor((I - patch_len) / stride) + 2 patch rows.  Each row is
-projected by a shared ``linear`` map and offset by a learnable position
-vector; the same tables serve every channel, and their shapes give patch_len
-and the patch capacity.  ``patch_embed`` is the only patcher: it pads with
-``tensor.pad_last`` and cuts with ``tensor.unfold_windows``, both graph ops.
+giving Z = floor((I - patch_len) / stride) + 2 patch rows.  The cut is data
+preparation in numpy (``patch_grid``); the graph starts at the projection.
+Each row is projected by a shared ``linear`` map and offset by a learnable
+position vector; the same tables serve every channel, and their shapes give
+patch_len and the patch capacity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, ConfigError, ShapeError
 from .params import ParameterStore
-from .tensor import Tensor, linear, pad_last, unfold_windows
+from .tensor import Tensor, linear
 
 __all__ = [
     "EmbeddingParams",
     "compute_patch_count",
     "patch_embed",
+    "patch_grid",
 ]
 
 
@@ -33,6 +36,17 @@ def compute_patch_count(series_len: int, patch_len: int, stride: int) -> int:
     if series_len < patch_len:
         raise ShapeError(f"series of length {series_len} is shorter than patch_len {patch_len}")
     return (series_len - patch_len) // stride + 2
+
+
+def patch_grid(x, patch_len: int, stride: int) -> np.ndarray:
+    """Cut series (..., I) into the (..., Z, patch_len) grid that ``patch_embed`` projects."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 1:
+        raise ShapeError("patching expects at least a 1-d series")
+    compute_patch_count(x.shape[-1], patch_len, stride)
+    padded = np.concatenate([x, np.repeat(x[..., -1:], stride, axis=-1)], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, patch_len, axis=-1)
+    return np.ascontiguousarray(windows[..., ::stride, :])
 
 
 @dataclass
@@ -56,18 +70,9 @@ class EmbeddingParams:
 
 
 def patch_embed(x, params: EmbeddingParams) -> Tensor:
-    """Embed series (..., I) into patch tokens (..., Z, d_model).
-
-    Differentiable with respect to both the tables and ``x`` when ``x`` is a
-    Tensor carrying gradient state.
-    """
-    xt = x if isinstance(x, Tensor) else Tensor(x)
-    if xt.ndim < 1:
-        raise ShapeError("patch_embed expects at least a 1-d series")
-    patch_len, capacity = params.value_weight.shape[0], params.position.shape[0]
-    z = compute_patch_count(xt.shape[-1], patch_len, params.stride)
+    """Embed series (..., I) into patch tokens (..., Z, d_model)."""
+    grid = patch_grid(x, params.value_weight.shape[0], params.stride)
+    z, capacity = grid.shape[-2], params.position.shape[0]
     if z > capacity:
         raise CapacityError(f"series needs {z} patch positions but the table holds {capacity}")
-    padded = pad_last(xt, params.stride)
-    grid = unfold_windows(padded, patch_len, params.stride)
-    return linear(grid, params.value_weight) + params.position[:z]
+    return linear(Tensor(grid), params.value_weight) + params.position[:z]

@@ -8,6 +8,8 @@ placeholder for the horizon, and a flattening linear head maps the decoder
 output to all ``pred_len`` steps at once.  Channels never mix, because every
 op treats each series row on its own: layer norm over the series' own (Z, D)
 block, softmax per row, and matmul rows that are independent of one another.
+The series stay numpy arrays until the patch projection: the decoder input
+and the patch grids are data preparation, so the graph starts at the weights.
 
 Normalisation follows the residual sums: each sublayer output is added to its
 input and the sum is normalised over both the patch and feature axes, with a
@@ -31,7 +33,7 @@ from .data import Scaler
 from .embedding import EmbeddingParams, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
-from .tensor import Tensor, concat, dropout, linear, no_grad
+from .tensor import Tensor, dropout, linear, no_grad
 from .tensor import layer_norm as fused_layer_norm
 
 __all__ = [
@@ -254,37 +256,33 @@ class PatchformerModel:
     def n_params(self) -> int:
         return self.store.total_size()
 
-    def decoder_series(self, x: Tensor) -> Tensor:
+    def decoder_series(self, x: np.ndarray) -> np.ndarray:
         """Second half of the lookback followed by zeros for the horizon."""
         cfg = self.cfg
-        zeros = Tensor(np.zeros(x.shape[:-1] + (cfg.pred_len,)))
-        if cfg.label_len == 0:
-            return zeros
         label = x[..., cfg.seq_len - cfg.label_len :]
-        return concat([label, zeros], axis=-1)
+        return np.concatenate([label, np.zeros(x.shape[:-1] + (cfg.pred_len,))], axis=-1)
 
-    def forward_series(self, x, rng: Rng | None = None) -> Tensor:
+    def forward_series(self, x: np.ndarray, rng: Rng | None = None) -> Tensor:
         """Forecast a batch of single-channel series: (B, seq_len) -> (B, pred_len).
 
         Trains with dropout masks drawn from ``rng``; evaluates when it is None.
         """
-        xt = x if isinstance(x, Tensor) else Tensor(x)
-        if xt.ndim != 2:
-            raise ShapeError(f"forward_series expects (batch, seq_len), got {xt.shape}")
-        if xt.shape[1] != self.cfg.seq_len:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != self.cfg.seq_len:
             raise ShapeError(
-                f"series length {xt.shape[1]} != configured seq_len {self.cfg.seq_len}"
+                f"forward_series expects a non-empty (batch, {self.cfg.seq_len}) array, "
+                f"got shape {x.shape}"
             )
         rate = self.cfg.dropout
-        memory = dropout(patch_embed(xt, self.embedding), rate, rng)
+        memory = dropout(patch_embed(x, self.embedding), rate, rng)
         for layer in self.encoder_layers:
             memory = encoder_layer(memory, layer, rate, rng)
 
-        decoded = dropout(patch_embed(self.decoder_series(xt), self.embedding), rate, rng)
+        decoded = dropout(patch_embed(self.decoder_series(x), self.embedding), rate, rng)
         for layer in self.decoder_layers:
             decoded = decoder_layer(decoded, memory, layer, rate, rng)
 
-        flat = decoded.reshape(xt.shape[0], self.z_decoder * self.cfg.d_model)
+        flat = decoded.reshape(x.shape[0], self.z_decoder * self.cfg.d_model)
         return linear(flat, self.head_weight)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -318,8 +316,8 @@ class PatchformerModel:
                 f"forward_batch expects (B, {self.cfg.seq_len}, {self.cfg.n_channels}), "
                 f"got {x.shape}"
             )
-        b, _, c = x.shape
-        folded = np.ascontiguousarray(np.transpose(x, (0, 2, 1))).reshape(b * c, -1)
+        b, seq_len, c = x.shape
+        folded = np.ascontiguousarray(np.transpose(x, (0, 2, 1))).reshape(b * c, seq_len)
         out = self.forward_series(folded, rng)
         return out.reshape(b, c, self.cfg.pred_len).transpose((0, 2, 1))
 

@@ -4,11 +4,13 @@ A Tensor wraps a numpy array together with an optional gradient and a record
 of how it was produced.  Calling ``backward()`` on a scalar result walks the
 recorded graph once in reverse topological order and accumulates gradients
 into every reachable tensor whose ``requires_grad`` flag is set.  Gradients
-add up across repeated ``backward()`` calls; use ``zero_grad()`` (or
-``ParameterStore.zero_grads``) between optimisation steps.
+add up across repeated ``backward()`` calls; clear them with
+``ParameterStore.zero_grads`` between optimisation steps.
 
 All data is kept in float64.  Operations never mutate their inputs, so the
 recorded graph stays valid until it is garbage collected with the loss.
+Only differentiable ops live here; data preparation, such as cutting series
+into patches, runs in plain numpy before the graph.
 
 Besides the elementwise, shape and reduction ops, three fused primitives
 record a whole block as one graph node with a closed-form VJP: ``linear``
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,14 +35,11 @@ __all__ = [
     "Tensor",
     "no_grad",
     "attention_core",
-    "concat",
     "dropout",
     "dropout_mask",
     "grad_enabled",
     "layer_norm",
     "linear",
-    "pad_last",
-    "unfold_windows",
 ]
 
 
@@ -108,15 +107,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -199,9 +189,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_wrap(other), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __pow__(self, exponent):
         return pow_scalar(self, exponent)
 
@@ -230,9 +217,6 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return relu(self)
-
-    def softmax(self) -> "Tensor":
-        return softmax_lastdim(self)
 
 
 def _wrap(value) -> Tensor:
@@ -288,10 +272,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(data, (a, b), vjp, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    return _record(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def pow_scalar(a: Tensor, exponent: float) -> Tensor:
@@ -395,20 +375,6 @@ def take(a: Tensor, index) -> Tensor:
         return (full,)
 
     return _record(data, (a,), vjp, "take")
-
-
-def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat needs at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _record(data, tuple(parts), vjp, "concat")
 
 
 # -- reductions ---------------------------------------------------------------
@@ -597,49 +563,3 @@ def attention_core(
     out = _record(merged, (q, k, x_kv), vjp, "attention_core")
     return out, applied.transpose((0, 2, 1, 3))
 
-
-# -- sequence windowing -------------------------------------------------------
-
-
-def pad_last(a: Tensor, count: int) -> Tensor:
-    """Append ``count`` copies of the final element along the last axis."""
-    if count < 0:
-        raise ShapeError(f"pad count must be non-negative, got {count}")
-    if a.ndim < 1 or a.shape[-1] < 1:
-        raise ShapeError(f"pad_last needs a non-empty last axis, got shape {a.shape}")
-    if count == 0:
-        return a
-    tail = np.repeat(a.data[..., -1:], count, axis=-1)
-    data = np.concatenate([a.data, tail], axis=-1)
-    length = a.shape[-1]
-
-    def vjp(g):
-        gx = g[..., :length].copy()
-        gx[..., -1] += g[..., length:].sum(axis=-1)
-        return (gx,)
-
-    return _record(data, (a,), vjp, "pad_last")
-
-
-def unfold_windows(a: Tensor, size: int, step: int) -> Tensor:
-    """Slice the last axis into overlapping windows of ``size`` every ``step``.
-
-    A (..., L) tensor becomes (..., Z, size) with Z = (L - size) // step + 1.
-    """
-    if size < 1 or step < 1:
-        raise ShapeError(f"window size and step must be positive, got {size}, {step}")
-    length = a.shape[-1] if a.ndim else 0
-    if length < size:
-        raise ShapeError(f"series of length {length} is shorter than window size {size}")
-    windows = np.lib.stride_tricks.sliding_window_view(a.data, size, axis=-1)
-    data = np.ascontiguousarray(windows[..., ::step, :])
-    count = data.shape[-2]
-
-    def vjp(g):
-        gx = np.zeros_like(a.data)
-        for z in range(count):
-            start = z * step
-            gx[..., start : start + size] += g[..., z, :]
-        return (gx,)
-
-    return _record(data, (a,), vjp, "unfold")

@@ -84,8 +84,8 @@ class AdamState:
 
     @classmethod
     def init(cls, params: ParameterStore, lr: float) -> "AdamState":
-        if lr < 0:
-            raise ConfigError(f"learning rate must be non-negative, got {lr}")
+        if not 0 <= lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and non-negative, got {lr}")
         state = cls(lr=lr)
         for name, tensor in params.items():
             state.m[name] = np.zeros_like(tensor.data)

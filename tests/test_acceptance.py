@@ -25,8 +25,7 @@ from patchformer import (
     mae_metric,
     mse_loss,
     mse_metric,
-    pad_last,
-    unfold_windows,
+    patch_grid,
 )
 from patchformer.cli import RunConfig, main, run_protocol_comparison, run_train
 from patchformer.model import LayerNormParams, layer_norm
@@ -91,7 +90,7 @@ def test_criterion_02_patch_algebra(announce):
         stride = int(rng.integers(1, patch_len + 1))
         series_len = int(rng.integers(patch_len, 513))
         x = rng.normal(size=series_len)
-        grid = unfold_windows(pad_last(Tensor(x), stride), patch_len, stride).data
+        grid = patch_grid(x, patch_len, stride)
 
         padded = np.concatenate([x, np.full(stride, x[-1])])
         starts = range(0, padded.size - patch_len + 1, stride)

@@ -271,6 +271,22 @@ def test_evaluate_rejects_incompatible_geometry(cli_run, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "lines, code",
+    # a file shared with train may carry keys that evaluate does not read
+    [("seq_len=64", 1), ("pred_len=16", 1), ("seq_len=32\npred_len=8\nd_model=999", 0)],
+    ids=["seq_len", "pred_len", "matching"],
+)
+def test_evaluate_checks_config_file_lengths(cli_run, tmp_path, lines, code):
+    cfg_file = tmp_path / "eval.cfg"
+    cfg_file.write_text(lines + "\n")
+    assert main([
+        "evaluate", "--checkpoint", str(cli_run["run"] / "model_best.npz"),
+        "--data", str(cli_run["data"]), "--config", str(cfg_file),
+        "--out-dir", str(tmp_path / "x"),
+    ]) == code
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--d-model", "999"), ("--n-heads", "7"), ("--patch-len", "4"), ("--epochs", "50"),

@@ -12,11 +12,9 @@ from patchformer import (
     EmbeddingParams,
     ModelConfig,
     ParameterStore,
-    Tensor,
     compute_patch_count,
-    pad_last,
     patch_embed,
-    unfold_windows,
+    patch_grid,
 )
 from patchformer.errors import CapacityError, ConfigError, ShapeError
 
@@ -57,14 +55,10 @@ def test_patch_count_brute_force_property(rng_np):
 # -- slicing ----------------------------------------------------------------------
 
 
-def patch_grid(x, patch_len: int, stride: int) -> np.ndarray:
-    """The (Z, patch_len) grid ``patch_embed`` projects: pad, then unfold."""
-    return unfold_windows(pad_last(Tensor(x), stride), patch_len, stride).data
-
-
 def test_pad_series_repeats_last_value():
-    out = pad_last(Tensor(np.array([1.0, 2.0, 3.0])), 2).data
-    assert out.tolist() == [1.0, 2.0, 3.0, 3.0, 3.0]
+    # padded to [1, 2, 3, 3, 3]: the last patch is the final value and its two copies
+    grid = patch_grid(np.array([1.0, 2.0, 3.0]), 3, 2)
+    assert grid.tolist() == [[1.0, 2.0, 3.0], [3.0, 3.0, 3.0]]
 
 
 def test_patch_series_oracle():
@@ -89,7 +83,11 @@ def test_patch_series_rejects_short_input():
     with pytest.raises(ShapeError):
         compute_patch_count(3, 4, 2)
     with pytest.raises(ShapeError):
-        patch_embed(Tensor(np.ones(3)), params)
+        patch_embed(np.ones(3), params)
+    with pytest.raises(ShapeError):
+        patch_grid(np.ones(3), 4, 2)
+    with pytest.raises(ShapeError):
+        patch_grid(np.float64(1.0), 1, 1)
 
 
 # -- embedding --------------------------------------------------------------------
@@ -102,13 +100,13 @@ def build_embedding(patch_len=16, stride=8, d_model=4, max_patches=64, seed=0):
 
 def test_patch_embed_shape():
     store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=16)
-    out = patch_embed(Tensor(np.ones(10)), params)
+    out = patch_embed(np.ones(10), params)
     assert out.shape == (5, 6)
 
 
 def test_patch_embed_batched_shape():
     store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=16)
-    out = patch_embed(Tensor(np.ones((3, 10))), params)
+    out = patch_embed(np.ones((3, 10)), params)
     assert out.shape == (3, 5, 6)
 
 
@@ -119,7 +117,7 @@ def test_patch_embed_is_affine_in_input(rng_np):
     y = rng_np.normal(size=10)
 
     def run(v):
-        return patch_embed(Tensor(v), params).data
+        return patch_embed(v, params).data
 
     zero = run(np.zeros(10))
     lhs = run(2.0 * x + 3.0 * y) - zero
@@ -130,7 +128,7 @@ def test_patch_embed_is_affine_in_input(rng_np):
 def test_patch_embed_position_rows_add(rng_np):
     store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=16)
     x = rng_np.normal(size=10)
-    out = patch_embed(Tensor(x), params).data
+    out = patch_embed(x, params).data
     grid = patch_grid(x, 4, 2)
     expected = grid @ params.value_weight.data + params.position.data[:5]
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -139,13 +137,13 @@ def test_patch_embed_position_rows_add(rng_np):
 def test_patch_embed_capacity_error():
     store, params = build_embedding(patch_len=4, stride=2, d_model=6, max_patches=3)
     with pytest.raises(CapacityError):
-        patch_embed(Tensor(np.ones(10)), params)
+        patch_embed(np.ones(10), params)
 
 
 def test_patch_embed_rejects_short_series():
     store, params = build_embedding(patch_len=8, stride=4, d_model=6, max_patches=16)
     with pytest.raises(ShapeError):
-        patch_embed(Tensor(np.ones(7)), params)
+        patch_embed(np.ones(7), params)
 
 
 def test_patch_config_validation():

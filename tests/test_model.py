@@ -233,6 +233,13 @@ def test_forward_rejects_wrong_length(tiny_model, rng_np):
         tiny_model.forward(rng_np.normal(size=(15, 2)))
 
 
+def test_empty_batch_is_a_shape_error(tiny_model):
+    with pytest.raises(ShapeError, match="non-empty"):
+        tiny_model.forward_batch(np.zeros((0, 16, 2)))
+    with pytest.raises(ShapeError, match="non-empty"):
+        tiny_model.forward_series(np.zeros((0, 16)))
+
+
 def test_forward_batch_matches_forward(tiny_model, rng_np):
     x = rng_np.normal(size=(16, 2))
     single = tiny_model.forward(x)
@@ -266,7 +273,7 @@ def test_forward_matches_per_channel_reference(tiny_model, rng_np):
 
 def test_decoder_series_layout(tiny_model):
     x = np.arange(1.0, 17.0)
-    dec = tiny_model.decoder_series(Tensor(x[None, :])).data[0]
+    dec = tiny_model.decoder_series(x[None, :])[0]
     assert dec.shape == (16,)  # label half plus horizon
     np.testing.assert_array_equal(dec[:8], x[8:])
     np.testing.assert_array_equal(dec[8:], np.zeros(8))

@@ -6,6 +6,7 @@ rather than against itself.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ def test_adam_rejects_negative_lr():
     store = ParameterStore(seed=0)
     with pytest.raises(ConfigError):
         AdamState.init(store, lr=-0.1)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_adam_rejects_non_finite_lr(lr):
+    """The same condition as TrainConfig, for library callers that skip it."""
+    store = ParameterStore(seed=0)
+    with pytest.raises(ConfigError, match="finite"):
+        AdamState.init(store, lr=lr)
 
 
 # -- evaluation -------------------------------------------------------------------
