@@ -6,20 +6,22 @@ stacking their projection matrices; each head's block of the stacked weight
 matrix feeds exactly one slice of the reshaped activations, so the result
 matches a head-by-head loop.  Each head scores with d_model / n_heads columns.
 
-A block records four fused graph nodes: ``linear`` for the query and key
-projections, one ``attention_core`` (scores on head views of Q and K,
-scaling, softmax and, in a training pass, the dropout mask done in place,
-then the mix of the raw key/value rows), and ``linear`` through the folded
-value-output map.  A pass trains exactly when it is given an ``rng``; without
-one it evaluates and no mask is drawn.  The core keeps only the softmax
-weights and the mask for backward; no head-split copy of Q, K or the output
-is made.  A single head is the ``n_heads=1`` case of the same core.
+A block records four fused graph nodes: ``linear`` for the query, key and
+value projections, then one ``attention_core`` (scores on head views of Q
+and K, scaling, softmax and, in a training pass, the dropout mask done in
+place, then the mix of each head's value rows, summed over heads).  A pass
+trains exactly when it is given an ``rng``; without one it evaluates and no
+mask is drawn.  The core keeps only the softmax weights and the mask for
+backward; no head-split copy of Q, K or the output is made.  A single head
+is the ``n_heads=1`` case of the same core.
 
 The value and output projections are folded into one map per head.  With
 attention weights A_h, the output is the reassociated sum
-``sum_h A_h (X W_v,h) W_o,h = sum_h (A_h X) (W_v,h W_o,h)``: each head mixes
-the raw key/value rows X, and the stacked products W_v,h W_o,h map the merged
-heads straight back to model width.  No value projection is ever computed.
+``sum_h A_h (X W_v,h) W_o,h = sum_h A_h (X (W_v,h W_o,h))``: the products
+W_v,h W_o,h, side by side, project the key/value rows X once, so each head's
+value rows already carry that head's share of the output map, and the core
+only mixes and sums them.  Cross-attention thus runs its widest GEMM over the
+key rows, of which there are fewer than query rows.
 
 In grad mode the product is recorded in the graph on every call, so gradients
 reach ``w_value`` and ``w_out``.  Under ``no_grad`` it is memoised on the
@@ -69,7 +71,7 @@ class AttentionParams:
     (H * d_model) back to d_model.
 
     Attention only uses ``w_value`` and ``w_out`` through their per-head
-    products, stacked as one (H * d_model, d_model) map (see
+    products, side by side as one (d_model, H * d_model) map (see
     ``value_out``).  Outside grad mode the product is memoised here, keyed on
     the identity of the two source arrays.  Parameter arrays are read-only,
     so new values always arrive as new arrays and the memo cannot go stale; a
@@ -97,7 +99,7 @@ class AttentionParams:
         )
 
     def value_out(self) -> Tensor:
-        """The stacked per-head products W_v,h W_o,h as (H * d_model, d_model)."""
+        """The per-head products W_v,h W_o,h side by side, as (d_model, H * d_model)."""
         w_value, w_out = self.w_value.data, self.w_out.data
         memoise = not grad_enabled() and _frozen(w_value) and _frozen(w_out)
         memo = self._memo
@@ -106,7 +108,8 @@ class AttentionParams:
         h = self.n_heads
         d = w_value.shape[0]
         per_head = self.w_value.reshape(d, h, d).transpose((1, 0, 2))
-        product = (per_head @ self.w_out.reshape(h, d, d)).reshape(h * d, d)
+        product = per_head @ self.w_out.reshape(h, d, d)
+        product = product.transpose((1, 0, 2)).reshape(d, h * d)
         if memoise:
             # The memo holds the source arrays, so their ids cannot be reused.
             self._memo = (w_value, w_out, product)
@@ -122,14 +125,15 @@ def _frozen(values: np.ndarray) -> bool:
 def multi_head_attention(
     x_q: Tensor, x_kv: Tensor, params: AttentionParams, rate: float = 0.0, rng=None
 ) -> Tensor:
-    """Attend per head, concatenate, and map back to model width.
+    """Attend per head and sum the heads' shares of the output map.
 
     ``x_q`` and ``x_kv`` are (B, Z, d_model); self-attention passes the same
     tensor for both.  Given an ``rng`` the pass trains: a dropout mask at
     ``rate`` is drawn from it and applied to the attention weights after the
-    softmax.  Without one the pass evaluates and draws nothing.  Each head's
-    weights mix the raw ``x_kv`` rows, and the folded value-output map of
-    ``params.value_out()`` takes the merged heads back to model width.
+    softmax.  Without one the pass evaluates and draws nothing.  The folded
+    value-output map of ``params.value_out()`` projects the ``x_kv`` rows to
+    per-head value rows already at model width, which each head's weights mix
+    and the core sums over heads.
     """
     if x_q.ndim != 3 or x_kv.ndim != 3:
         raise ShapeError(
@@ -146,5 +150,5 @@ def multi_head_attention(
         keep = dropout_mask((x_q.shape[0], h, x_q.shape[1], x_kv.shape[1]), rate, rng)
     q = linear(x_q, params.w_query)
     k = linear(x_kv, params.w_key)
-    merged, _ = attention_core(q, k, x_kv, h, keep)
-    return linear(merged, params.value_out())
+    v = linear(x_kv, params.value_out())
+    return attention_core(q, k, v, h, keep)[0]

@@ -17,7 +17,12 @@ learnable per-feature scale and shift.
 
 A forward trains exactly when it is given an ``rng``: it then draws dropout
 masks at ``ModelConfig.dropout`` from that stream, in a fixed order.  With
-``rng=None`` it evaluates and draws nothing.
+``rng=None`` it evaluates and draws nothing.  An evaluation under ``no_grad``
+keeps no graph, so it runs in near-equal blocks of at most ``EVAL_ROWS``
+series rows, whose activations stay in cache.  Rows never mix, so the result
+is the one-pass result up to the GEMM kernel a BLAS picks for a block's row
+count: bitwise at the benchmark shapes, otherwise equal to rounding.  Grad-mode passes run all rows at once, so
+training records one graph per step.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .data import Scaler
 from .embedding import EmbeddingParams, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
-from .tensor import Tensor, dropout, linear, no_grad
+from .tensor import Tensor, dropout, grad_enabled, linear, no_grad
 from .tensor import layer_norm as fused_layer_norm
 
 __all__ = [
@@ -54,6 +59,9 @@ __all__ = [
 
 CHECKPOINT_FORMAT = 1
 LAYER_NORM_EPS = 1e-5
+# Most series rows per block of an evaluation forward under ``no_grad``:
+# small enough that every activation of a block stays in cache.
+EVAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -266,13 +274,28 @@ class PatchformerModel:
         """Forecast a batch of single-channel series: (B, seq_len) -> (B, pred_len).
 
         Trains with dropout masks drawn from ``rng``; evaluates when it is None.
+        An evaluation under ``no_grad`` runs in near-equal blocks of at most
+        ``EVAL_ROWS`` rows.  Every row is computed on its own, but a BLAS may
+        pick another GEMM kernel for a block's row count than for the whole
+        batch, one that sums the head's long inner dimension in another order.
+        The result is therefore that of one pass to rounding, and bitwise
+        where block and batch land on the same kernel, as at the benchmark
+        shapes.  Near-equal blocks leave no short tail block, the case most
+        likely to land on a small-matrix kernel.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = _as_array(x, "forward_series")
         if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != self.cfg.seq_len:
             raise ShapeError(
                 f"forward_series expects a non-empty (batch, {self.cfg.seq_len}) array, "
                 f"got shape {x.shape}"
             )
+        if rng is None and not grad_enabled():
+            parts = np.array_split(x, -(-len(x) // EVAL_ROWS))
+            return Tensor(np.concatenate([self._series_pass(part, None).data for part in parts]))
+        return self._series_pass(x, rng)
+
+    def _series_pass(self, x: np.ndarray, rng: Rng | None) -> Tensor:
+        """The forward of ``forward_series`` over all rows of ``x`` at once."""
         rate = self.cfg.dropout
         memory = dropout(patch_embed(x, self.embedding), rate, rng)
         for layer in self.encoder_layers:
@@ -293,7 +316,7 @@ class PatchformerModel:
         series row is computed on its own, so permuting input channels
         permutes the output bit for bit.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = _as_array(x, "forward")
         if x.ndim != 2 or x.shape != (self.cfg.seq_len, self.cfg.n_channels):
             raise ShapeError(
                 f"forward expects shape ({self.cfg.seq_len}, {self.cfg.n_channels}), "
@@ -310,7 +333,7 @@ class PatchformerModel:
         keeps the graph small and the matmuls large.  Trains with dropout
         masks drawn from ``rng``; evaluates when it is None.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = _as_array(x, "forward_batch")
         if x.ndim != 3 or x.shape[1] != self.cfg.seq_len or x.shape[2] != self.cfg.n_channels:
             raise ShapeError(
                 f"forward_batch expects (B, {self.cfg.seq_len}, {self.cfg.n_channels}), "
@@ -320,6 +343,13 @@ class PatchformerModel:
         folded = np.ascontiguousarray(np.transpose(x, (0, 2, 1))).reshape(b * c, seq_len)
         out = self.forward_series(folded, rng)
         return out.reshape(b, c, self.cfg.pred_len).transpose((0, 2, 1))
+
+
+def _as_array(x, caller: str) -> np.ndarray:
+    """``x`` as a float64 array; a ``Tensor`` is refused, since forwards take raw series."""
+    if isinstance(x, Tensor):
+        raise ShapeError(f"{caller} takes a numpy array of series values, got a Tensor")
+    return np.asarray(x, dtype=np.float64)
 
 
 @dataclass

@@ -15,10 +15,12 @@ into patches, runs in plain numpy before the graph.
 Besides the elementwise, shape and reduction ops, three fused primitives
 record a whole block as one graph node with a closed-form VJP: ``linear``
 (one folded GEMM plus bias), ``layer_norm`` (over the trailing (Z, D) block)
-and ``attention_core`` (multi-head scores, softmax, dropout and mixing).  They
-compute in place on their own buffers and keep only what their backward
-needs, in the same operation order as the composite expressions they replace,
-so forward values are bitwise the same.
+and ``attention_core`` (multi-head scores, softmax, dropout, mixing and the
+sum over heads).  They compute in place on their own buffers and keep only
+what their backward needs.  ``linear`` and ``layer_norm`` keep the operation
+order of the composite expressions they replace, so their forward values are
+bitwise the same; ``attention_core`` stores its weights key-major and sums
+over heads inside one GEMM, so it agrees with its composite to rounding.
 """
 
 from __future__ import annotations
@@ -498,68 +500,67 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 
 def attention_core(
-    q: Tensor, k: Tensor, x_kv: Tensor, n_heads: int, keep: np.ndarray | None = None
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, keep: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray]:
-    """Softmax attention of every head over the raw key/value rows, as one graph node.
+    """Softmax attention of every head, summed over heads, as one graph node.
 
     Head h scores with columns h*d:(h+1)*d of ``q`` (B, Z_q, H*d) and ``k``
     (B, Z_kv, H*d), scaled by 1/sqrt(d); ``keep`` is an optional
     inverted-dropout multiplier (B, H, Z_q, Z_kv) for the softmax weights.
-    Head h's weights mix the rows of ``x_kv`` (B, Z_kv, D) into columns
-    h*D:(h+1)*D of the merged (B, Z_q, H*D) result, which is returned with
-    the applied weights as a (B, H, Z_q, Z_kv) array.  Heads are views of
-    ``q`` and ``k``; the weights are stacked query-major, (Z_q*H, Z_kv) per
-    series, so one GEMM per series writes the merged layout.
+    Head h's weights A_h mix its value rows V_h, columns h*E:(h+1)*E of ``v``
+    (B, Z_kv, H*E), and the (B, Z_q, E) result is sum_h A_h V_h.  It is
+    returned with the applied weights as a (B, H, Z_q, Z_kv) view.
+
+    The weights are stored key-major, (Z_kv, H, Z_q) per series: one batched
+    GEMM writes the scores into a transposed view of that buffer, the softmax
+    reduces over its leading axis, and the mix is one GEMM per series with
+    inner dimension Z_kv*H.
     """
-    if q.ndim != 3 or k.ndim != 3 or x_kv.ndim != 3:
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError(
-            f"attention_core needs 3-d operands, got {q.shape}, {k.shape}, {x_kv.shape}"
+            f"attention_core needs 3-d operands, got {q.shape}, {k.shape}, {v.shape}"
         )
     b, z_q, width = q.shape
     z_kv = k.shape[1]
-    if k.shape != (b, z_kv, width) or x_kv.shape[:2] != (b, z_kv) or width % n_heads:
+    if (
+        k.shape != (b, z_kv, width) or v.shape[:2] != (b, z_kv)
+        or width % n_heads or v.shape[2] % n_heads
+    ):
         raise ShapeError(
-            f"attention_core shapes q {q.shape}, k {k.shape}, x_kv {x_kv.shape} "
+            f"attention_core shapes q {q.shape}, k {k.shape}, v {v.shape} "
             f"do not fit {n_heads} heads"
         )
-    h, d = n_heads, width // n_heads
+    h, d, e = n_heads, width // n_heads, v.shape[2] // n_heads
     if keep is not None and keep.shape != (b, h, z_q, z_kv):
         raise ShapeError(f"dropout mask of shape {keep.shape}, expected {(b, h, z_q, z_kv)}")
     scale = 1.0 / math.sqrt(d)
     q_heads = q.data.reshape(b, z_q, h, d).transpose((0, 2, 1, 3))
     k_heads = k.data.reshape(b, z_kv, h, d).transpose((0, 2, 1, 3))
-    scores = q_heads @ k_heads.transpose((0, 1, 3, 2))
-    scores *= scale
-    weights = np.ascontiguousarray(scores.transpose((0, 2, 1, 3)))
-    weights -= weights.max(axis=-1, keepdims=True)
+    weights = np.empty((b, z_kv, h, z_q))
+    np.matmul(k_heads, q_heads.transpose((0, 1, 3, 2)), out=weights.transpose((0, 2, 1, 3)))
+    weights *= scale
+    weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    if keep is None:
-        applied = weights
-    else:
-        applied = np.multiply(weights, keep.transpose((0, 2, 1, 3)), out=np.empty_like(weights))
-    stacked = applied.reshape(b, z_q * h, z_kv)
-    d_kv = x_kv.shape[2]
-    merged = np.matmul(stacked, x_kv.data).reshape(b, z_q, h * d_kv)
+    weights /= weights.sum(axis=1, keepdims=True)
+    keep_km = None if keep is None else keep.transpose((0, 3, 1, 2))
+    applied = weights if keep is None else weights * keep_km
+    stacked = applied.reshape(b, z_kv * h, z_q)
+    v_rows = v.data.reshape(b, z_kv * h, e)
+    out = np.matmul(stacked.transpose((0, 2, 1)), v_rows)
 
     def vjp(g):
-        g_stacked = g.reshape(b, z_q * h, d_kv)
-        g_x_kv = np.matmul(stacked.transpose((0, 2, 1)), g_stacked)
-        g_w = np.matmul(g_stacked, x_kv.data.transpose((0, 2, 1))).reshape(b, z_q, h, z_kv)
+        g_v = np.matmul(stacked, g).reshape(b, z_kv, h * e)
+        g_w = np.matmul(v_rows, g.transpose((0, 2, 1))).reshape(b, z_kv, h, z_q)
         if keep is not None:
-            g_w *= keep.transpose((0, 2, 1, 3))
-        g_w -= (g_w * weights).sum(axis=-1, keepdims=True)
+            g_w *= keep_km
+        g_w -= (g_w * weights).sum(axis=1, keepdims=True)
         g_w *= weights
         g_w *= scale
-        g_scores = g_w.transpose((0, 2, 1, 3))
-        g_q = g_scores @ k_heads
-        g_k = g_scores.transpose((0, 1, 3, 2)) @ q_heads
-        return (
-            g_q.transpose((0, 2, 1, 3)).reshape(b, z_q, width),
-            g_k.transpose((0, 2, 1, 3)).reshape(b, z_kv, width),
-            g_x_kv,
-        )
+        g_scores = g_w.transpose((0, 2, 1, 3))  # (B, H, Z_kv, Z_q)
+        g_q = np.empty((b, z_q, h, d))
+        g_k = np.empty((b, z_kv, h, d))
+        np.matmul(g_scores.transpose((0, 1, 3, 2)), k_heads, out=g_q.transpose((0, 2, 1, 3)))
+        np.matmul(g_scores, q_heads, out=g_k.transpose((0, 2, 1, 3)))
+        return g_q.reshape(b, z_q, width), g_k.reshape(b, z_kv, width), g_v
 
-    out = _record(merged, (q, k, x_kv), vjp, "attention_core")
-    return out, applied.transpose((0, 2, 1, 3))
-
+    return _record(out, (q, k, v), vjp, "attention_core"), applied.transpose((0, 2, 3, 1))

@@ -12,7 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from patchformer import ModelConfig, PatchformerModel, Rng, attention, mse_loss, training
+from patchformer import (
+    ModelConfig,
+    PatchformerModel,
+    Rng,
+    TimeSeriesTable,
+    attention,
+    mse_loss,
+    training,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -53,3 +61,27 @@ def test_bench_tracer_records_a_training_step_and_a_forecast(monkeypatch):
         "model.encoder_layer", "model.decoder_layer", "tensor.backward", "model.forward",
     ):
         assert name in recorded, name
+
+
+def test_bench_tracer_records_a_blocked_evaluation(monkeypatch):
+    """``evaluate`` under the tracer: one forward per batch, the layers once per block."""
+    spans = load_spans(monkeypatch)
+    cfg = ModelConfig(
+        seq_len=16, pred_len=8, n_channels=3, patch_len=4, stride=2, d_model=8, n_heads=2,
+        d_ff=16, n_encoder_layers=1, n_decoder_layers=1,
+    )
+    values = np.random.default_rng(0).normal(size=(70, 3))
+    table = TimeSeriesTable([str(i) for i in range(70)], values, ["a", "b", "c"])
+    tracer = spans.Tracer()
+    with tracer.installed():
+        report = training.evaluate(PatchformerModel.build(cfg), table, batch_size=32)
+    assert report.n_windows == 47  # batches of 96 and 45 series rows: 2 blocks, then 1
+    names = tracer.names
+    per_block = {"model.encoder_layer": 1, "attention.self_attn": 2, "attention.cross_attn": 1}
+    assert names.count("training.evaluate") == 1
+    assert names.count("model.forward_batch") == names.count("model.forward_series") == 2
+    for name, count in per_block.items():
+        assert names.count(name) == 3 * count, name
+    series = [i for i, name in enumerate(names) if name == "model.forward_series"]
+    layers = [i for i, name in enumerate(names) if name == "model.encoder_layer"]
+    assert {tracer.parents[i] for i in layers} == set(series)

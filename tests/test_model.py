@@ -15,10 +15,12 @@ from patchformer import (
     Tensor,
     finite_diff_check,
     load_checkpoint,
+    no_grad,
     save_checkpoint,
 )
 from patchformer.errors import ConfigError, DataError, ShapeError
 from patchformer.model import (
+    EVAL_ROWS,
     DecoderLayerParams,
     EncoderLayerParams,
     FeedForwardParams,
@@ -238,6 +240,64 @@ def test_empty_batch_is_a_shape_error(tiny_model):
         tiny_model.forward_batch(np.zeros((0, 16, 2)))
     with pytest.raises(ShapeError, match="non-empty"):
         tiny_model.forward_series(np.zeros((0, 16)))
+
+
+def test_forward_refuses_a_tensor(tiny_model, rng_np):
+    """Forwards take raw series; a Tensor is a ShapeError that names the type."""
+    x = rng_np.normal(size=(3, 16, 2))
+    calls = (
+        (tiny_model.forward_series, x[:, :, 0]),
+        (tiny_model.forward_batch, x),
+        (tiny_model.forward, x[0]),
+    )
+    for forward, values in calls:
+        with pytest.raises(ShapeError, match="got a Tensor"):
+            forward(Tensor(values))
+
+
+EVAL_SHAPE = dict(
+    seq_len=96, pred_len=96, n_channels=1, patch_len=16, stride=8, d_model=64,
+    n_heads=8, d_ff=128, n_encoder_layers=2, n_decoder_layers=1, seed=0,
+)
+
+
+@pytest.mark.parametrize(
+    "shape, rows, atol",
+    [
+        ({}, 4 * EVAL_ROWS + 10, 0.0),
+        (EVAL_SHAPE, 2 * EVAL_ROWS + 1, 0.0),
+        ({**EVAL_SHAPE, "pred_len": 24}, 2 * EVAL_ROWS + 1, 1e-12),
+    ],
+    ids=["tiny", "eval_shape", "short_horizon"],
+)
+def test_no_grad_forward_runs_in_blocks(tiny_config, rng_np, shape, rows, atol):
+    """A no_grad forward runs near-equal blocks of at most EVAL_ROWS rows.
+
+    Rows never mix, so blocking changes only the row count of each GEMM,
+    which a BLAS may use to pick its kernel.  At the tiny and the rolling
+    evaluation shapes every block and the single pass land on the same
+    kernel (OpenBLAS 0.3.31), and the result is bitwise the grad-mode single
+    pass; 129 rows split 43/43/43, not 64/64/1, whose 1-row tail would sum
+    the 1,152-long head GEMM in another order.  At pred_len 24 the head GEMM
+    is short enough that a 43-row block takes OpenBLAS's small-matrix kernel
+    while the 129-row pass does not, so the two agree only to rounding.
+    """
+    model = PatchformerModel.build(replace(tiny_config, **shape))
+    x = rng_np.normal(size=(rows, model.cfg.seq_len))
+    single = model.forward_series(x).data  # grad mode: one pass
+    inner = model._series_pass
+    blocks = []
+
+    def counted(part, rng):
+        blocks.append(len(part))
+        return inner(part, rng)
+
+    model._series_pass = counted
+    with no_grad():
+        blocked = model.forward_series(x).data
+    assert sum(blocks) == rows and len(blocks) > 2
+    assert max(blocks) <= EVAL_ROWS and max(blocks) - min(blocks) <= 1
+    np.testing.assert_allclose(blocked, single, rtol=0, atol=atol)
 
 
 def test_forward_batch_matches_forward(tiny_model, rng_np):

@@ -62,11 +62,12 @@ def random_shape(rng, min_ndim: int = 1, max_ndim: int = 3) -> tuple[int, ...]:
     return tuple(int(n) for n in rng.integers(2, 5, size=rng.integers(min_ndim, max_ndim + 1)))
 
 
-def check_broadcast_binary(op):
+def check_broadcast_binary(op, b_offset: float = 0.0):
     """Finite differences through both operands of ``op`` at seeded broadcast shapes.
 
     The second operand has a size-1 axis and, on most seeds, fewer leading
     axes, so its gradient must be summed over both kinds of broadcast axis.
+    ``b_offset`` pushes its values that far away from zero.
     """
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -74,6 +75,7 @@ def check_broadcast_binary(op):
         part = list(full[rng.integers(0, len(full)) :])
         part[rng.integers(len(part))] = 1
         a, b = rng.normal(size=full), rng.normal(size=part)
+        b += b_offset * np.sign(b)
         probe = Tensor(rng.normal(size=full))
         check_primitive(lambda t: (op(t, Tensor(b)) * probe).sum(), a)
         check_primitive(lambda t: (op(Tensor(a), t) * probe).sum(), b)
@@ -251,27 +253,37 @@ def test_grad_add_broadcast():
     check_broadcast_binary(lambda a, b: a + b)
 
 
-def test_grad_sub(rng_np):
-    check_primitive(lambda t: (Tensor(np.ones((2, 3))) - t).sum(), rng_np.normal(size=(2, 3)))
+def test_grad_sub():
+    check_broadcast_binary(lambda a, b: a - b)
 
 
 def test_grad_mul_broadcast():
     check_broadcast_binary(lambda a, b: a * b)
 
 
-def test_grad_div(rng_np):
-    w = rng_np.normal(size=(2, 3)) + 5.0
-    check_primitive(lambda t: (Tensor(np.ones((2, 3))) / t).sum(), w)
+def test_grad_div():
+    check_broadcast_binary(lambda a, b: a / b, b_offset=0.5)
 
 
-def test_grad_neg_pow(rng_np):
-    w = -np.abs(rng_np.normal(size=(4,))) - 0.5
-    check_primitive(lambda t: (t**3).sum(), w)
+def test_grad_neg_pow():
+    """Integer powers of a negative base, at seeded shapes and exponents."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        w = -np.abs(rng.normal(size=random_shape(rng))) - 0.5
+        exponent = int(rng.choice([-2, -1, 2, 3]))
+        probe = Tensor(rng.normal(size=w.shape))
+        check_primitive(lambda t: (t**exponent * probe).sum(), w)
 
 
-def test_grad_sqrt(rng_np):
-    w = np.abs(rng_np.normal(size=(4,))) + 0.5
-    check_primitive(lambda t: t.sqrt().sum(), w)
+def test_grad_sqrt():
+    """``sqrt`` and other fractional powers of a positive base, at seeded shapes."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        w = np.abs(rng.normal(size=random_shape(rng))) + 0.5
+        exponent = float(rng.choice([-0.5, 1.5]))
+        probe = Tensor(rng.normal(size=w.shape))
+        check_primitive(lambda t: (t.sqrt() * probe).sum(), w)
+        check_primitive(lambda t: (t**exponent * probe).sum(), w)
 
 
 def test_grad_relu_away_from_kink():
@@ -283,29 +295,51 @@ def test_grad_relu_away_from_kink():
         check_primitive(lambda t: (t.relu() * probe).sum(), w)
 
 
-def test_grad_matmul_left(rng_np):
-    b = Tensor(rng_np.normal(size=(3, 2)))
-    check_primitive(lambda t: matmul(t, b).sum(), rng_np.normal(size=(4, 3)))
+def check_matmul(batches, which: int):
+    """Finite differences through operand ``which`` of ``a @ b`` at seeded shapes.
+
+    ``batches(rng)`` gives the leading (batch) axes of ``a`` and of ``b``.
+    """
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        a_batch, b_batch = batches(rng)
+        m, k, n = random_shape(rng, 3, 3)
+        inputs = [rng.normal(size=(*a_batch, m, k)), rng.normal(size=(*b_batch, k, n))]
+        probe = Tensor(rng.normal(size=np.matmul(*inputs).shape))
+
+        def fn(t):
+            args = [Tensor(x) for x in inputs]
+            args[which] = t
+            return (matmul(*args) * probe).sum()
+
+        check_primitive(fn, inputs[which])
 
 
-def test_grad_matmul_right(rng_np):
-    a = Tensor(rng_np.normal(size=(4, 3)))
-    check_primitive(lambda t: matmul(a, t).sum(), rng_np.normal(size=(3, 2)))
+def broadcast_batches(rng):
+    """``a`` batched (n1, 1); ``b`` (1, n2), or (n2,) with fewer leading axes."""
+    n1, n2 = random_shape(rng, 2, 2)
+    return (n1, 1), ((1, n2) if rng.random() < 0.5 else (n2,))
 
 
-def test_grad_matmul_batched_left(rng_np):
-    b = Tensor(rng_np.normal(size=(3, 2)))
-    check_primitive(lambda t: matmul(t, b).sum(), rng_np.normal(size=(2, 4, 3)))
+def test_grad_matmul_left():
+    check_matmul(lambda rng: ((), ()), 0)
 
 
-def test_grad_matmul_batched_right(rng_np):
-    a = Tensor(rng_np.normal(size=(2, 4, 3)))
-    check_primitive(lambda t: matmul(a, t).sum(), rng_np.normal(size=(3, 2)))
+def test_grad_matmul_right():
+    check_matmul(lambda rng: ((), ()), 1)
 
 
-def test_grad_matmul_both_batched(rng_np):
-    b = Tensor(rng_np.normal(size=(2, 3, 2)))
-    check_primitive(lambda t: matmul(t, b).sum(), rng_np.normal(size=(2, 4, 3)))
+def test_grad_matmul_batched_left():
+    check_matmul(lambda rng: (random_shape(rng, 1, 2), ()), 0)
+
+
+def test_grad_matmul_batched_right():
+    check_matmul(lambda rng: (random_shape(rng, 1, 2), ()), 1)
+
+
+def test_grad_matmul_both_batched():
+    for which in (0, 1):
+        check_matmul(broadcast_batches, which)
 
 
 def test_batched_matmul_fold_matches_loop(rng_np):
@@ -316,9 +350,23 @@ def test_batched_matmul_fold_matches_loop(rng_np):
     np.testing.assert_allclose(folded, looped, atol=1e-13)
 
 
-def test_grad_reshape_transpose(rng_np):
-    w = rng_np.normal(size=(2, 6))
-    check_primitive(lambda t: (transpose(reshape(t, (3, 4))) ** 2).sum(), w)
+def test_grad_reshape_transpose():
+    """Reshape to a reordering of the axis lengths, then a seeded transpose.
+
+    Odd seeds pass no axes, so the default (reversing) transpose is checked too.
+    """
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        shape = random_shape(rng, 2)
+        reordered = tuple(int(n) for n in rng.permutation(shape))
+        if seed % 2:
+            axes, out_shape = None, reordered[::-1]
+        else:
+            axes = tuple(int(a) for a in rng.permutation(len(shape)))
+            out_shape = tuple(reordered[a] for a in axes)
+        probe = Tensor(rng.normal(size=out_shape))
+        w = rng.normal(size=shape)
+        check_primitive(lambda t: (transpose(reshape(t, reordered), axes) ** 2 * probe).sum(), w)
 
 
 def test_grad_take_slice():
@@ -334,14 +382,26 @@ def test_grad_take_slice():
         check_primitive(lambda t: (take(t, index) ** 2).sum(), rng.normal(size=shape))
 
 
-def test_grad_reduce_sum_axis(rng_np):
-    w = rng_np.normal(size=(2, 3, 4))
-    check_primitive(lambda t: (reduce_sum(t, axis=(0, 2)) ** 2).sum(), w)
+def check_reduction(reduce):
+    """Finite differences through ``reduce`` over seeded axes, with and without keepdims."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=random_shape(rng))
+        picked = rng.permutation(w.ndim)[: rng.integers(1, w.ndim + 1)]
+        # negative axes on odd seeds; a bare int for one axis
+        axis = tuple(int(a) - (w.ndim if seed % 2 else 0) for a in picked)
+        axis = axis[0] if len(axis) == 1 else axis
+        keepdims = bool(rng.integers(2))
+        probe = Tensor(rng.normal(size=reduce(Tensor(w), axis, keepdims).shape))
+        check_primitive(lambda t: (reduce(t, axis, keepdims) ** 2 * probe).sum(), w)
 
 
-def test_grad_reduce_mean(rng_np):
-    w = rng_np.normal(size=(3, 4))
-    check_primitive(lambda t: (reduce_mean(t, axis=1) ** 2).sum(), w)
+def test_grad_reduce_sum_axis():
+    check_reduction(reduce_sum)
+
+
+def test_grad_reduce_mean():
+    check_reduction(reduce_mean)
 
 
 def test_grad_layer_norm(rng_np):
@@ -350,10 +410,12 @@ def test_grad_layer_norm(rng_np):
     check_primitive(lambda t: (layer_norm(t, *identity_affine(8), eps=1e-5) * probe).sum(), w)
 
 
-def test_grad_softmax(rng_np):
-    w = rng_np.normal(size=(3, 5))
-    probe = Tensor(rng_np.normal(size=(3, 5)))
-    check_primitive(lambda t: (softmax_lastdim(t) * probe).sum(), w)
+def test_grad_softmax():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=random_shape(rng))
+        probe = Tensor(rng.normal(size=w.shape))
+        check_primitive(lambda t: (softmax_lastdim(t) * probe).sum(), w)
 
 
 def test_grad_dropout_with_pinned_mask():
@@ -413,16 +475,16 @@ def composite_linear(x, w, b=None):
     return out if b is None else out + b
 
 
-def composite_attention_core(q, k, x_kv, n_heads, keep):
+def composite_attention_core(q, k, v, n_heads, keep):
     b, z_q, width = q.shape
-    z_kv, d = k.shape[1], width // n_heads
+    z_kv, d, e = k.shape[1], width // n_heads, v.shape[-1] // n_heads
     q_heads = q.reshape(b, z_q, n_heads, d).transpose((0, 2, 1, 3))
     k_heads = k.reshape(b, z_kv, n_heads, d).transpose((0, 2, 1, 3))
+    v_heads = v.reshape(b, z_kv, n_heads, e).transpose((0, 2, 1, 3))
     weights = softmax_lastdim((q_heads @ k_heads.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(d)))
     if keep is not None:
         weights = weights * Tensor(keep)
-    stacked = weights.transpose((0, 2, 1, 3)).reshape(b, z_q * n_heads, z_kv)
-    return (stacked @ x_kv).reshape(b, z_q, n_heads * x_kv.shape[-1]), weights
+    return reduce_sum(weights @ v_heads, axis=1), weights
 
 
 def assert_same_vjp(fused, composite, inputs):
@@ -471,7 +533,7 @@ def test_linear_matches_composite(seed, bias):
 
 
 def attention_case(seed: int, with_keep: bool):
-    """Random (q, k, x_kv, heads, keep) with Z_q != Z_kv and B = 1 on even seeds."""
+    """Random (q, k, v, heads, keep) with Z_q != Z_kv and B = 1 on even seeds."""
     rng = np.random.default_rng(seed)
     b = 1 if seed % 2 == 0 else int(rng.integers(2, 4))
     z_q = int(rng.integers(1, 5))
@@ -479,9 +541,9 @@ def attention_case(seed: int, with_keep: bool):
     heads, d, d_v = (int(v) for v in rng.integers(1, 4, size=3))
     q = rng.normal(size=(b, z_q, heads * d))
     k = rng.normal(size=(b, z_kv, heads * d))
-    x_kv = rng.normal(size=(b, z_kv, d_v))
+    v = rng.normal(size=(b, z_kv, heads * d_v))
     keep = dropout_mask((b, heads, z_q, z_kv), 0.3, rng) if with_keep else None
-    return [q, k, x_kv], heads, keep
+    return [q, k, v], heads, keep
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -489,8 +551,8 @@ def attention_case(seed: int, with_keep: bool):
 def test_attention_core_matches_composite(seed, with_keep):
     inputs, heads, keep = attention_case(seed, with_keep)
     assert_same_vjp(
-        lambda q, k, x: attention_core(q, k, x, heads, keep)[0],
-        lambda q, k, x: composite_attention_core(q, k, x, heads, keep)[0],
+        lambda q, k, v: attention_core(q, k, v, heads, keep)[0],
+        lambda q, k, v: composite_attention_core(q, k, v, heads, keep)[0],
         inputs,
     )
     fused = attention_core(*map(Tensor, inputs), heads, keep)[1]
@@ -541,8 +603,8 @@ def test_grad_linear_each_input(rng_np, which):
 @pytest.mark.parametrize("with_keep", [False, True])
 def test_grad_attention_core_each_input(which, with_keep):
     inputs, heads, keep = attention_case(1, with_keep)
-    q, _, x_kv = inputs
-    probe = Tensor(np.random.default_rng(5).normal(size=(*q.shape[:2], heads * x_kv.shape[2])))
+    q, _, v = inputs
+    probe = Tensor(np.random.default_rng(5).normal(size=(*q.shape[:2], v.shape[2] // heads)))
 
     def fn(t):
         args = [Tensor(x) for x in inputs]

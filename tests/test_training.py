@@ -32,6 +32,7 @@ from patchformer import (
     write_loss_trace,
 )
 from patchformer.errors import ConfigError, ShapeError, TrainingError
+from patchformer.model import EVAL_ROWS
 
 
 # -- losses and metrics ----------------------------------------------------------
@@ -178,6 +179,19 @@ def test_evaluate_is_batch_size_independent():
     big = evaluate(model, table, batch_size=len(windows))
     assert one.n_windows == big.n_windows == len(windows)
     np.testing.assert_allclose([one.mse, one.mae], [big.mse, big.mae], atol=1e-12)
+
+
+def test_evaluate_is_bitwise_batch_size_independent_across_blocks():
+    """89 windows of 3 channels: the full batch runs 5 blocks, batch 64 runs 3 then 2.
+
+    Bitwise at this tiny shape, where every block lands on the same GEMM
+    kernel as the full batch; other shapes agree to rounding.
+    """
+    model, table = tiny_trained_setup(t=120, channels=3)
+    n_windows = len(make_windows(table, 24, 8))
+    assert n_windows * 3 > 4 * EVAL_ROWS
+    reports = [evaluate(model, table, batch_size=size) for size in (1, 64, n_windows)]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_evaluate_counts_and_jensen_inequality():
