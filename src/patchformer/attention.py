@@ -27,10 +27,11 @@ In grad mode the product is recorded in the graph on every call, so gradients
 reach ``w_value`` and ``w_out``.  Under ``no_grad`` it is memoised on the
 ``AttentionParams`` and reused while both source arrays are the very objects
 it was computed from.  That is safe because parameter arrays are immutable:
-every writer in the package (initialisation, ``load_state_dict``, the Adam
-step, gradient checking) installs a new read-only array instead of editing
-one in place, and an in-place write raises ``ValueError``.  A writable array
-assigned to a parameter from outside the package is never memoised.
+every writer in the package (construction, whether drawn or from saved
+arrays, the Adam step, gradient checking) installs a new read-only array that
+owns its data instead of editing one in place, and an in-place write raises
+``ValueError``.  A writable array, or a view, assigned to a parameter from
+outside the package is never memoised.
 """
 
 from __future__ import annotations

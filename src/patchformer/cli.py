@@ -325,45 +325,38 @@ class TrainOutputs:
     data: PreparedData
     test_report: MetricReport
     baseline_report: MetricReport
-    checkpoint_path: Path | None
-    best_checkpoint_path: Path | None
+    checkpoint_path: Path
+    best_checkpoint_path: Path
 
 
-def run_train(cfg: RunConfig, write_files: bool = True) -> TrainOutputs:
+def run_train(cfg: RunConfig) -> TrainOutputs:
     """Full training pipeline; the returned model holds the best-val weights."""
     train_cfg = cfg.train_config()
     prepared = prepare_data(cfg)
     model = PatchformerModel.build(cfg.model_config(len(prepared.channel_names)))
     out_dir = Path(cfg.out_dir)
-    if write_files:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest("train", out_dir, asdict(cfg), seed=cfg.seed, dataset=prepared.dataset_name)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_manifest("train", out_dir, asdict(cfg), seed=cfg.seed, dataset=prepared.dataset_name)
 
     result = train(model, prepared.train, prepared.val, train_cfg)
 
-    if write_files:
-        write_loss_trace(result.trace, out_dir / "loss_trace.csv")
-    # The model is left holding the best weights, the last state loaded.
-    saved = {}
-    for name, state in (("model.npz", result.final_state), ("model_best.npz", result.best_state)):
-        model.store.load_state_dict(state)
-        if write_files:
-            saved[name] = save_checkpoint(
-                model,
-                out_dir / name,
-                scaler_mean=prepared.scaler.mean,
-                scaler_std=prepared.scaler.std,
-                channel_names=prepared.channel_names,
-                extra={"dataset": prepared.dataset_name, "best_epoch": result.best_epoch},
-            )
+    write_loss_trace(result.trace, out_dir / "loss_trace.csv")
+    saved_with = dict(
+        scaler_mean=prepared.scaler.mean, scaler_std=prepared.scaler.std,
+        channel_names=prepared.channel_names,
+        extra={"dataset": prepared.dataset_name, "best_epoch": result.best_epoch},
+    )
+    # ``train`` leaves the model holding its final weights.
+    checkpoint_path = save_checkpoint(model, out_dir / "model.npz", **saved_with)
+    model = PatchformerModel.build(model.cfg, result.best_state)
+    best_checkpoint_path = save_checkpoint(model, out_dir / "model_best.npz", **saved_with)
 
     test_report = evaluate(model, prepared.test)
     baseline = repeat_last_report(prepared.test, cfg.seq_len, cfg.pred_len)
-    if write_files:
-        results = ResultsTable()
-        results.add(prepared.dataset_name, "patchformer", cfg.pred_len, cfg.mode, test_report)
-        results.add(prepared.dataset_name, "repeat_last", cfg.pred_len, cfg.mode, baseline)
-        results.write(out_dir)
+    results = ResultsTable()
+    results.add(prepared.dataset_name, "patchformer", cfg.pred_len, cfg.mode, test_report)
+    results.add(prepared.dataset_name, "repeat_last", cfg.pred_len, cfg.mode, baseline)
+    results.write(out_dir)
     return TrainOutputs(
         config=cfg,
         result=result,
@@ -371,24 +364,23 @@ def run_train(cfg: RunConfig, write_files: bool = True) -> TrainOutputs:
         data=prepared,
         test_report=test_report,
         baseline_report=baseline,
-        checkpoint_path=saved.get("model.npz"),
-        best_checkpoint_path=saved.get("model_best.npz"),
+        checkpoint_path=checkpoint_path,
+        best_checkpoint_path=best_checkpoint_path,
     )
 
 
 def run_lookback_sweep(
-    cfg: RunConfig, lookbacks: list[int], pred_lens: list[int], write_files: bool = True
+    cfg: RunConfig, lookbacks: list[int], pred_lens: list[int]
 ) -> ResultsTable:
     """Train one model per (lookback, horizon) pair at a fixed seed."""
     if not lookbacks or not pred_lens:
         raise ConfigError("sweep needs at least one lookback and one pred_len")
     out_dir = Path(cfg.out_dir)
-    if write_files:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(
-            "sweep", out_dir, asdict(cfg), seed=cfg.seed,
-            kind="lookback", lookbacks=lookbacks, pred_lens=pred_lens,
-        )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_manifest(
+        "sweep", out_dir, asdict(cfg), seed=cfg.seed,
+        kind="lookback", lookbacks=lookbacks, pred_lens=pred_lens,
+    )
     results = ResultsTable()
     for pred_len in pred_lens:
         for lookback in lookbacks:
@@ -398,18 +390,15 @@ def run_lookback_sweep(
                 pred_len=pred_len,
                 out_dir=str(out_dir / f"I{lookback}_O{pred_len}"),
             )
-            outputs = run_train(entry, write_files=write_files)
+            outputs = run_train(entry)
             dataset = outputs.data.dataset_name
             results.add(dataset, f"patchformer_I{lookback}", pred_len, cfg.mode, outputs.test_report)
             results.add(dataset, f"repeat_last_I{lookback}", pred_len, cfg.mode, outputs.baseline_report)
-    if write_files:
-        results.write(out_dir)
+    results.write(out_dir)
     return results
 
 
-def run_protocol_comparison(
-    cfg: RunConfig, subset: tuple[str, ...], write_files: bool = True
-) -> ResultsTable:
+def run_protocol_comparison(cfg: RunConfig, subset: tuple[str, ...]) -> ResultsTable:
     """Score one multi-channel model against averaged single-channel models.
 
     The all-at-once row trains a single model on the named subset and scores
@@ -419,17 +408,16 @@ def run_protocol_comparison(
     if len(subset) < 2:
         raise ConfigError(f"protocol comparison needs two or more channels, got {subset}")
     out_dir = Path(cfg.out_dir)
-    if write_files:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(
-            "sweep", out_dir, asdict(cfg), seed=cfg.seed, kind="protocol", subset=list(subset)
-        )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_manifest(
+        "sweep", out_dir, asdict(cfg), seed=cfg.seed, kind="protocol", subset=list(subset)
+    )
     results = ResultsTable()
 
     joint_cfg = replace(
         cfg, channels=subset, mode="all_at_once", out_dir=str(out_dir / "all_at_once")
     )
-    joint = run_train(joint_cfg, write_files=write_files)
+    joint = run_train(joint_cfg)
     dataset = joint.data.dataset_name
     results.add(dataset, "patchformer", cfg.pred_len, "all_at_once", joint.test_report)
     results.add(dataset, "repeat_last", cfg.pred_len, "all_at_once", joint.baseline_report)
@@ -440,14 +428,13 @@ def run_protocol_comparison(
         single_cfg = replace(
             cfg, channels=(name,), mode="univariate", out_dir=str(out_dir / f"single_{name}")
         )
-        single = run_train(single_cfg, write_files=write_files)
+        single = run_train(single_cfg)
         single_reports.append(single.test_report)
         single_baselines.append(single.baseline_report)
         results.add(dataset, "patchformer", cfg.pred_len, f"univariate:{name}", single.test_report)
     results.add(dataset, "patchformer", cfg.pred_len, "average", average_reports(single_reports))
     results.add(dataset, "repeat_last", cfg.pred_len, "average", average_reports(single_baselines))
-    if write_files:
-        results.write(out_dir)
+    results.write(out_dir)
     return results
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DeterminismError, NumericsError, ShapeError
+from .errors import ConfigError, DeterminismError, NumericsError, ShapeError
 from .params import ParameterStore, read_only
 from .tensor import Tensor, no_grad
 
@@ -95,8 +95,12 @@ def finite_diff_check(
 
     ``corrupt`` names a parameter whose analytic gradient is deliberately
     scaled before comparison; it exists as a negative control so callers can
-    confirm the checker actually detects wrong gradients.
+    confirm the checker actually detects wrong gradients.  ``eps`` and ``tol``
+    must be finite and positive.
     """
+    for label, value in (("eps", eps), ("tol", tol)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{label} must be finite and positive, got {value}")
     with no_grad():
         first = _eval_scalar(loss_fn)
         second = _eval_scalar(loss_fn)

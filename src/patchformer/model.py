@@ -255,10 +255,12 @@ class PatchformerModel:
         self.head_weight = store.weight(
             "head.weight", (self.z_decoder * cfg.d_model, cfg.pred_len)
         )
+        store.seal()
 
     @classmethod
-    def build(cls, cfg: ModelConfig) -> "PatchformerModel":
-        return cls(cfg, ParameterStore(cfg.seed))
+    def build(cls, cfg: ModelConfig, state: dict | None = None) -> "PatchformerModel":
+        """Weights drawn from ``cfg.seed``, or taken from ``state`` (see ``ParameterStore``)."""
+        return cls(cfg, ParameterStore(cfg.seed, state))
 
     @property
     def n_params(self) -> int:
@@ -449,7 +451,7 @@ def _config_from_meta(path: Path, config: dict) -> ModelConfig:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a model bit for bit from ``save_checkpoint`` output."""
+    """Rebuild a model bit for bit from ``save_checkpoint`` output, drawing nothing."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint file not found: {path}")
@@ -469,8 +471,10 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = _config_from_meta(path, dict(meta["config"]))
     channel_names = meta.get("channel_names")
     _check_channel_state(path, cfg.n_channels, channel_names, scaler_mean, scaler_std)
-    model = PatchformerModel.build(cfg)
-    model.store.load_state_dict(state)
+    try:
+        model = PatchformerModel.build(cfg, state)
+    except (ConfigError, ShapeError) as exc:  # arrays or seed this model cannot take
+        raise DataError(f"{path}: {exc}") from None
     return Checkpoint(
         model=model,
         scaler_mean=scaler_mean,

@@ -4,7 +4,8 @@ All randomness in the package flows through Rng so that a single integer seed
 pins down initialisation, shuffling, dropout masks, and synthetic data.
 Derived streams come from ``child(...)``, which mixes extra integer keys into
 the seed; streams with different keys are statistically independent and a
-stream never depends on how much another stream has been consumed.
+stream never depends on how much another stream has been consumed.  Seeds
+and keys are non-negative integers; a negative one is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class Rng:
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0 or any(k < 0 for k in _keys):
+            raise ConfigError(
+                f"seeds and stream keys must be non-negative, got {self.seed} and {_keys}"
+            )
         self._keys = _keys
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, *_keys]))
@@ -66,14 +71,16 @@ class ParameterStore:
 
     Creation order is part of the model definition: every initialiser draws
     from the store's own stream, so building the same architecture with the
-    same seed reproduces every weight bit for bit.  Parameter arrays are
-    read-only (see ``read_only``).
+    same seed reproduces every weight bit for bit.  Given a ``state`` (name to
+    array), the initialisers take its arrays instead and draw nothing.
+    Parameter arrays are read-only and own their data (see ``read_only``).
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, state: dict[str, np.ndarray] | None = None):
         self.seed = int(seed)
         self.rng = Rng(self.seed).child(0)
         self._entries: dict[str, Tensor] = {}
+        self._pending = None if state is None else dict(state)
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -105,21 +112,41 @@ class ParameterStore:
         self._entries[name] = tensor
         return tensor
 
+    def _register(self, name: str, shape: tuple[int, ...], draw) -> Tensor:
+        """Add the given state's array for ``name``, or else ``draw()``."""
+        if self._pending is None:
+            return self.add(name, draw())
+        if name not in self._pending:
+            raise ConfigError(f"no array for parameter {name!r}")
+        values = np.asarray(self._pending.pop(name))
+        if values.shape != shape or values.dtype.kind not in "biuf":
+            raise ShapeError(
+                f"parameter {name!r} expects real numbers of shape {shape}, "
+                f"got {values.dtype} of shape {values.shape}"
+            )
+        return self.add(name, values)
+
+    def seal(self) -> None:
+        """End a build: refuse arrays that no initialiser took, and drop the state."""
+        surplus, self._pending = self._pending, None
+        if surplus:
+            raise ConfigError(f"arrays for unknown parameters {sorted(surplus)}")
+
     def weight(self, name: str, shape: tuple[int, ...]) -> Tensor:
         """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for an (in, out) matrix."""
         if len(shape) < 1 or shape[0] < 1:
             raise ShapeError(f"weight {name!r} needs a positive fan-in, got {shape}")
         bound = 1.0 / float(np.sqrt(shape[0]))
-        return self.add(name, self.rng.uniform(-bound, bound, shape))
+        return self._register(name, shape, lambda: self.rng.uniform(-bound, bound, shape))
 
     def uniform(self, name: str, shape: tuple[int, ...], low: float, high: float) -> Tensor:
-        return self.add(name, self.rng.uniform(low, high, shape))
+        return self._register(name, shape, lambda: self.rng.uniform(low, high, shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self.add(name, np.zeros(shape))
+        return self._register(name, shape, lambda: np.zeros(shape))
 
     def ones(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self.add(name, np.ones(shape))
+        return self._register(name, shape, lambda: np.ones(shape))
 
     def zero_grads(self) -> None:
         for tensor in self._entries.values():
@@ -127,18 +154,3 @@ class ParameterStore:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._entries.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = [n for n in self._entries if n not in state]
-        surplus = [n for n in state if n not in self._entries]
-        if missing or surplus:
-            raise ConfigError(
-                f"parameter names do not match: missing {missing}, unexpected {surplus}"
-            )
-        for name, tensor in self._entries.items():
-            values = np.asarray(state[name], dtype=np.float64)
-            if values.shape != tensor.shape:
-                raise ShapeError(
-                    f"parameter {name!r} expects shape {tensor.shape}, got {values.shape}"
-                )
-            tensor.data = read_only(values.copy())

@@ -4,7 +4,10 @@ Training minimises mean squared error over the forecast horizon only; both
 MSE and MAE are reported.  Model evaluation and the repeat-last baseline
 share one scoring loop: it walks the windows of one ``make_windows`` view in
 origin order, a batch at a time, and reduces the per-window partial sums in
-that order, so the reported metrics do not depend on the batch size.
+that order, so the reduction order does not depend on the batch size.  The
+forecasts themselves may move in the last bits with the batch size, where a
+BLAS picks another GEMM kernel for another row count; at the benchmark shapes
+they are bitwise.
 ``train`` shuffles the windows every epoch from a stream seeded by
 ``TrainConfig.seed``, at the dropout rate of ``ModelConfig.dropout``.
 """
@@ -216,7 +219,6 @@ class TrainResult:
     trace: list[TraceRow]
     best_epoch: int
     best_state: dict[str, np.ndarray]
-    final_state: dict[str, np.ndarray]
 
     @property
     def initial_train_mse(self) -> float:
@@ -237,7 +239,7 @@ def train(
 
     The best snapshot is the one with the lowest validation MSE (train MSE
     when no validation table is given).  The model is left holding its
-    final-epoch weights; use ``best_state`` to restore the best snapshot.
+    final-epoch weights; build the best snapshot from ``best_state``.
     """
     windows = make_windows(train_table, model.cfg.seq_len, model.cfg.pred_len)
     adam = AdamState.init(model.store, cfg.lr)
@@ -290,12 +292,7 @@ def train(
             best_epoch = epoch
             best_state = model.store.state_dict()
 
-    return TrainResult(
-        trace=trace,
-        best_epoch=best_epoch,
-        best_state=best_state,
-        final_state=model.store.state_dict(),
-    )
+    return TrainResult(trace=trace, best_epoch=best_epoch, best_state=best_state)
 
 
 def write_loss_trace(trace: list[TraceRow], path) -> Path:

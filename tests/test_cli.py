@@ -498,6 +498,80 @@ def test_exit_code_out_of_range_value(argv, named, cli_run, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, config_line",
+    [
+        ("train", ["--seed", "-1"], None),
+        ("train", ["--synth-seed", "-1"], None),
+        ("train", [], "seed=-1"),
+        ("gradcheck", ["--seed", "-1"], None),
+        ("synth", ["--synth-seed", "-1"], None),
+    ],
+    ids=["train-seed", "train-synth-seed", "config-file-seed", "gradcheck-seed", "synth-seed"],
+)
+def test_negative_seed_is_a_usage_error(command, flags, config_line, tmp_path, capsys):
+    if config_line is not None:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config_line + "\n")
+        flags = [*flags, "--config", str(cfg_file)]
+    sized = {
+        "train": [*TINY_FLAGS, "--synth-length", "400", "--synth-channels", "2"],
+        "synth": ["--synth-length", "50"],
+    }
+    out = [] if command == "gradcheck" else ["--out-dir", str(tmp_path / "out")]
+    assert main([command, *sized.get(command, []), *flags, *out]) == 1
+    assert "non-negative" in capsys.readouterr().err
+
+
+def _head_as_text(arrays):
+    arrays["param.head.weight"] = arrays["param.head.weight"].astype(str)
+
+
+def _negative_seed(arrays):
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"]["seed"] = -1
+    arrays["meta"] = np.array(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda arrays: arrays.pop("param.head.weight"),
+        lambda arrays: arrays.update({"param.extra": np.zeros(3)}),
+        lambda arrays: arrays.update({"param.head.weight": np.zeros((2, 2))}),
+        _head_as_text,
+        _negative_seed,
+    ],
+    ids=["missing", "surplus", "wrong-shape", "text", "negative-seed"],
+)
+def test_forecast_reports_an_unbuildable_checkpoint_as_data_error(
+    edit, cli_run, tmp_path, capsys
+):
+    ckpt = tmp_path / "edited.npz"
+    with np.load(cli_run["run"] / "model_best.npz") as bundle:
+        arrays = dict(bundle)
+    edit(arrays)
+    np.savez(ckpt, **arrays)
+    code = main([
+        "forecast", "--checkpoint", str(ckpt), "--window", str(cli_run["data"]),
+        "--out-file", str(tmp_path / "forecast.csv"),
+    ])
+    assert code == 2
+    assert f"data error: {ckpt}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"), ("--eps", "-1"),
+        ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
+    ],
+)
+def test_cli_gradcheck_refuses_a_bad_eps_or_tol(flag, value, capsys):
+    assert main(["gradcheck", flag, value]) == 1
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exit_code_divergence(tmp_path, cli_run):
     code = main([

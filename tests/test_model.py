@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,11 @@ from patchformer import (
     ModelConfig,
     ParameterStore,
     PatchformerModel,
+    Rng,
     Tensor,
     finite_diff_check,
     load_checkpoint,
+    mse_loss,
     no_grad,
     save_checkpoint,
 )
@@ -541,14 +544,87 @@ def test_load_checkpoint_rejects_channel_count_mismatch(tiny_model, tmp_path, sa
         load_checkpoint(path)
 
 
-def test_load_state_dict_rejects_name_and_shape_mismatch(tiny_model):
+def test_build_rejects_state_name_and_shape_mismatch(tiny_model):
     state = tiny_model.store.state_dict()
     renamed = dict(state)
     renamed["bogus"] = renamed.pop(next(iter(renamed)))
     with pytest.raises(ConfigError):
-        tiny_model.store.load_state_dict(renamed)
+        PatchformerModel.build(tiny_model.cfg, renamed)
     reshaped = dict(state)
     first = next(iter(reshaped))
     reshaped[first] = np.zeros((1, 1, 1))
     with pytest.raises(ShapeError):
-        tiny_model.store.load_state_dict(reshaped)
+        PatchformerModel.build(tiny_model.cfg, reshaped)
+
+
+def test_build_from_state_keeps_no_given_array(tiny_model):
+    state = tiny_model.store.state_dict()
+    given = [weakref.ref(values) for values in state.values()]
+    built = PatchformerModel.build(tiny_model.cfg, state)
+    del state
+    assert all(ref() is None for ref in given)
+    for name, tensor in built.store.items():
+        np.testing.assert_array_equal(tensor.data, tiny_model.store[name].data)
+
+
+def test_load_checkpoint_draws_nothing(tiny_model, tmp_path, rng_np, monkeypatch):
+    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random number")
+
+    for method in ("random", "uniform", "normal", "integers", "permutation"):
+        monkeypatch.setattr(Rng, method, refuse)
+    restored = load_checkpoint(path).model
+    x = rng_np.normal(size=(tiny_model.cfg.seq_len, tiny_model.cfg.n_channels))
+    np.testing.assert_array_equal(restored.forward(x), tiny_model.forward(x))
+
+
+def test_loaded_model_memoises_every_attention_product(tiny_model, tmp_path, rng_np):
+    """Loaded arrays are copied into owned, read-only ones, which the memo accepts."""
+    model = load_checkpoint(save_checkpoint(tiny_model, tmp_path / "model.npz")).model
+    for _, tensor in model.store.items():
+        assert tensor.data.flags.owndata and not tensor.data.flags.writeable
+    model.forward(rng_np.normal(size=(model.cfg.seq_len, model.cfg.n_channels)))
+    blocks = [layer.attn for layer in model.encoder_layers] + [
+        attn for layer in model.decoder_layers for attn in (layer.self_attn, layer.cross_attn)
+    ]
+    assert all(block._memo is not None for block in blocks)
+
+
+def test_random_small_configs_build_train_and_round_trip():
+    """Seeded fuzz: every small config builds, trains a step, evaluates and reloads."""
+    draw = np.random.default_rng(2024)
+    built = 0
+    while built < 150:
+        patch_len = int(draw.integers(1, 7))
+        n_heads = int(draw.integers(1, 4))
+        raw = dict(
+            seq_len=int(draw.integers(1, 25)),
+            pred_len=int(draw.integers(1, 13)),
+            n_channels=int(draw.integers(1, 4)),
+            patch_len=patch_len,
+            stride=int(draw.integers(1, patch_len + 1)),
+            d_model=n_heads * int(draw.integers(1, 5)),
+            n_heads=n_heads,
+            d_ff=int(draw.integers(1, 17)) if draw.random() < 0.5 else None,
+            n_encoder_layers=int(draw.integers(1, 3)),
+            n_decoder_layers=int(draw.integers(1, 3)),
+            dropout=float(draw.uniform(0.0, 0.5)),
+            seed=int(draw.integers(0, 2**31)),
+        )
+        try:
+            cfg = ModelConfig(**raw)
+        except ConfigError:
+            continue  # typed: a short series for its patches
+        built += 1
+        model = PatchformerModel.build(cfg)
+        x = draw.normal(size=(2, cfg.seq_len, cfg.n_channels))
+        y = draw.normal(size=(2, cfg.pred_len, cfg.n_channels))
+        pred = model.forward_batch(x, Rng(cfg.seed).child(1))
+        mse_loss(pred, y).backward()
+        assert all(tensor.grad is not None for _, tensor in model.store.items()), raw
+        forecast = model.forward(x[0])
+        assert forecast.shape == (cfg.pred_len, cfg.n_channels) and np.isfinite(forecast).all()
+        reloaded = PatchformerModel.build(cfg, model.store.state_dict())
+        np.testing.assert_array_equal(reloaded.forward(x[0]), forecast)
