@@ -152,4 +152,4 @@ def multi_head_attention(
     q = linear(x_q, params.w_query)
     k = linear(x_kv, params.w_key)
     v = linear(x_kv, params.value_out())
-    return attention_core(q, k, v, h, keep)[0]
+    return attention_core(q, k, v, h, keep)

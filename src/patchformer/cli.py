@@ -348,7 +348,7 @@ def run_train(cfg: RunConfig) -> TrainOutputs:
     )
     # ``train`` leaves the model holding its final weights.
     checkpoint_path = save_checkpoint(model, out_dir / "model.npz", **saved_with)
-    model = PatchformerModel.build(model.cfg, result.best_state)
+    model = PatchformerModel.build(model.cfg, dict(result.best_state))
     best_checkpoint_path = save_checkpoint(model, out_dir / "model_best.npz", **saved_with)
 
     test_report = evaluate(model, prepared.test)

@@ -259,7 +259,7 @@ class PatchformerModel:
 
     @classmethod
     def build(cls, cfg: ModelConfig, state: dict | None = None) -> "PatchformerModel":
-        """Weights drawn from ``cfg.seed``, or taken from ``state`` (see ``ParameterStore``)."""
+        """Weights drawn from ``cfg.seed``, or popped out of ``state``, which ends up empty."""
         return cls(cfg, ParameterStore(cfg.seed, state))
 
     @property

@@ -72,7 +72,9 @@ class ParameterStore:
     Creation order is part of the model definition: every initialiser draws
     from the store's own stream, so building the same architecture with the
     same seed reproduces every weight bit for bit.  Given a ``state`` (name to
-    array), the initialisers take its arrays instead and draw nothing.
+    array), the initialisers take its arrays instead and draw nothing.  Each
+    array is popped out of ``state`` as its copy is made, so a build holds at
+    most one given array beside its own; the caller's dict ends up empty.
     Parameter arrays are read-only and own their data (see ``read_only``).
     """
 
@@ -80,7 +82,7 @@ class ParameterStore:
         self.seed = int(seed)
         self.rng = Rng(self.seed).child(0)
         self._entries: dict[str, Tensor] = {}
-        self._pending = None if state is None else dict(state)
+        self._pending = state
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries

@@ -9,18 +9,17 @@ add up across repeated ``backward()`` calls; clear them with
 
 All data is kept in float64.  Operations never mutate their inputs, so the
 recorded graph stays valid until it is garbage collected with the loss.
-Only differentiable ops live here; data preparation, such as cutting series
-into patches, runs in plain numpy before the graph.
-
-Besides the elementwise, shape and reduction ops, three fused primitives
-record a whole block as one graph node with a closed-form VJP: ``linear``
-(one folded GEMM plus bias), ``layer_norm`` (over the trailing (Z, D) block)
-and ``attention_core`` (multi-head scores, softmax, dropout, mixing and the
-sum over heads).  They compute in place on their own buffers and keep only
-what their backward needs.  ``linear`` and ``layer_norm`` keep the operation
-order of the composite expressions they replace, so their forward values are
-bitwise the same; ``attention_core`` stores its weights key-major and sums
+Only the ops a model records live here: no general elementwise or reduction
+algebra, and no data preparation, which runs in plain numpy before the graph.
+Besides ``add``, ``relu``, ``dropout``, ``matmul`` and the shape ops, four
+fused primitives record a whole block as one graph node with a closed-form
+VJP: ``linear`` (one folded GEMM plus bias), ``layer_norm`` (over the
+trailing (Z, D) block), ``attention_core`` (multi-head scores, softmax,
+dropout, mixing and the sum over heads) and ``mse_loss``.  ``linear``,
+``layer_norm`` and ``mse_loss`` keep the operation order of the composites
+they replace, so their values are bitwise the same; ``attention_core`` sums
 over heads inside one GEMM, so it agrees with its composite to rounding.
+No model records ``softmax_lastdim``; profiling and checks look it up.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ __all__ = [
     "grad_enabled",
     "layer_norm",
     "linear",
+    "mse_loss",
 ]
 
 
@@ -168,34 +168,10 @@ class Tensor:
     # -- operator sugar ----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __pow__(self, exponent):
-        return pow_scalar(self, exponent)
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __getitem__(self, index):
         return take(self, index)
@@ -208,21 +184,8 @@ class Tensor:
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
         return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis, keepdims)
-
-    def sqrt(self) -> "Tensor":
-        return pow_scalar(self, 0.5)
-
     def relu(self) -> "Tensor":
         return relu(self)
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
@@ -235,7 +198,7 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tens
     return out
 
 
-# -- elementwise arithmetic -------------------------------------------------
+# -- elementwise --------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -245,45 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _record(data, (a, b), vjp, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record(data, (a, b), vjp, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _record(data, (a, b), vjp, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _record(data, (a, b), vjp, "div")
-
-
-def pow_scalar(a: Tensor, exponent: float) -> Tensor:
-    c = float(exponent)
-    data = a.data**c
-
-    def vjp(g):
-        return (g * c * a.data ** (c - 1.0),)
-
-    return _record(data, (a,), vjp, "pow")
 
 
 def relu(a: Tensor) -> Tensor:
@@ -379,43 +303,6 @@ def take(a: Tensor, index) -> Tensor:
     return _record(data, (a,), vjp, "take")
 
 
-# -- reductions ---------------------------------------------------------------
-
-
-def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    axes = tuple(sorted(a % ndim for a in axis))
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate reduction axes {axis}")
-    return axes
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        expanded = g
-        if not keepdims:
-            expanded = np.expand_dims(g, axes) if axes else g
-        return (np.broadcast_to(expanded, a.shape).copy(),)
-
-    return _record(data, (a,), vjp, "sum")
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    if count == 0:
-        raise ShapeError(f"mean over empty axes {axes} of shape {a.shape}")
-    return mul(reduce_sum(a, axes, keepdims), Tensor(1.0 / count))
-
-
 # -- nonlinearities -----------------------------------------------------------
 
 
@@ -501,15 +388,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 def attention_core(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, keep: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
+) -> Tensor:
     """Softmax attention of every head, summed over heads, as one graph node.
 
     Head h scores with columns h*d:(h+1)*d of ``q`` (B, Z_q, H*d) and ``k``
     (B, Z_kv, H*d), scaled by 1/sqrt(d); ``keep`` is an optional
     inverted-dropout multiplier (B, H, Z_q, Z_kv) for the softmax weights.
     Head h's weights A_h mix its value rows V_h, columns h*E:(h+1)*E of ``v``
-    (B, Z_kv, H*E), and the (B, Z_q, E) result is sum_h A_h V_h.  It is
-    returned with the applied weights as a (B, H, Z_q, Z_kv) view.
+    (B, Z_kv, H*E), and the (B, Z_q, E) result is sum_h A_h V_h.
 
     The weights are stored key-major, (Z_kv, H, Z_q) per series: one batched
     GEMM writes the scores into a transposed view of that buffer, the softmax
@@ -563,4 +449,29 @@ def attention_core(
         np.matmul(g_scores, q_heads, out=g_k.transpose((0, 2, 1, 3)))
         return g_q.reshape(b, z_q, width), g_k.reshape(b, z_kv, width), g_v
 
-    return _record(out, (q, k, v), vjp, "attention_core"), applied.transpose((0, 2, 3, 1))
+    return _record(out, (q, k, v), vjp, "attention_core")
+
+
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error of ``pred`` against the array ``target``, as one graph node.
+
+    The value is ``sum(diff * diff) * (1 / n)`` with ``diff = pred - target``
+    and the gradient is ``t + t`` with ``t = (g * (1 / n)) * diff``, in the
+    operation order of the composite ``mean(diff * diff)``.
+    """
+    if isinstance(target, Tensor):
+        raise ShapeError("mse_loss takes its target as an array, not a Tensor")
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"loss shapes differ: {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise ShapeError(f"mean squared error of an empty prediction, shape {pred.shape}")
+    inv_n = 1.0 / pred.size
+    diff = pred.data - target
+    data = (diff * diff).sum(axis=tuple(range(diff.ndim))) * inv_n
+
+    def vjp(g):
+        t = (g * inv_n) * diff
+        return (t + t,)
+
+    return _record(data, (pred,), vjp, "mse_loss")

@@ -1,7 +1,8 @@
-"""Loss functions, Adam, the training loop, and order-stable evaluation.
+"""Metrics, Adam, the training loop, and order-stable evaluation.
 
-Training minimises mean squared error over the forecast horizon only; both
-MSE and MAE are reported.  Model evaluation and the repeat-last baseline
+Training minimises mean squared error over the forecast horizon only, with
+the fused ``mse_loss`` node of ``tensor``; both MSE and MAE are reported.
+Model evaluation and the repeat-last baseline
 share one scoring loop: it walks the windows of one ``make_windows`` view in
 origin order, a batch at a time, and reduces the per-window partial sums in
 that order, so the reduction order does not depend on the batch size.  The
@@ -25,7 +26,7 @@ from .data import TimeSeriesTable, make_windows
 from .errors import ConfigError, ShapeError, TrainingError
 from .model import PatchformerModel
 from .params import ParameterStore, Rng, read_only
-from .tensor import Tensor, no_grad
+from .tensor import mse_loss, no_grad
 
 __all__ = [
     "mse_loss",
@@ -43,15 +44,6 @@ __all__ = [
     "train",
     "write_loss_trace",
 ]
-
-
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Differentiable mean squared error over every element."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    if pred.shape != target_t.shape:
-        raise ShapeError(f"loss shapes differ: {pred.shape} vs {target_t.shape}")
-    diff = pred - target_t
-    return (diff * diff).mean()
 
 
 def _metric_diff(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ from patchformer import (
 from patchformer.errors import ConfigError, ShapeError
 from patchformer.tensor import attention_core
 
+from composite_ops import attention_weights, probed
+
 
 def make_params(d_model: int, n_heads: int, seed=0):
     store = ParameterStore(seed=seed)
@@ -31,12 +33,13 @@ def make_params(d_model: int, n_heads: int, seed=0):
 # -- single-head mechanics -------------------------------------------------------
 #
 # One head is ``attention_core`` with n_heads=1 on (1, Z, d) operands: the
-# third operand plays the value rows, and the core returns (out, weights).
+# third operand plays the value rows.  The weights are the output for
+# identity value rows.
 
 
 def single_head(q, k, v):
-    out, weights = attention_core(*(Tensor(np.asarray(t)[None]) for t in (q, k, v)), 1)
-    return out.data[0], weights[0, 0]
+    q, k, v = (Tensor(np.asarray(t)[None]) for t in (q, k, v))
+    return attention_core(q, k, v, 1).data[0], attention_weights(q, k, 1)[0, 0]
 
 
 def test_single_key_returns_value_row(rng_np):
@@ -184,10 +187,10 @@ def test_multi_head_cross_attends_to_memory(rng_np):
 def test_multi_head_gradients(rng_np):
     store, params = make_params(d_model=4, n_heads=2, seed=5)
     x = Tensor(rng_np.normal(size=(1, 3, 4)))
-    probe = Tensor(rng_np.normal(size=(1, 3, 4)))
+    probe = rng_np.normal(size=(1, 3, 4))
 
     def loss():
-        return (multi_head_attention(x, x, params) * probe).sum()
+        return probed(multi_head_attention(x, x, params), probe)
 
     report = finite_diff_check(loss, store, tol=1e-5)
     assert report.passed, report.format_lines()[-1]
@@ -289,12 +292,28 @@ def test_training_graph_never_projects_values(tiny_model, rng_np):
         assert grad is not None and np.any(grad != 0.0), name
 
 
+TRAINING_OPS = {
+    "add", "attention_core", "dropout", "layer_norm", "linear", "matmul",
+    "mse_loss", "relu", "reshape", "take", "transpose",
+}
+
+
+def training_ops(cfg, rng_np, batch):
+    model = PatchformerModel.build(cfg)
+    x, y = windows(rng_np, cfg, batch)
+    loss = mse_loss(model.forward_batch(x, rng=Rng(0)), y)
+    return [node.op for node in graph_nodes(loss)]
+
+
 def test_training_graph_uses_one_node_per_norm_and_attention_block(tiny_config, rng_np):
     cfg = replace(tiny_config, dropout=0.1)
-    model = PatchformerModel.build(cfg)
-    x, y = windows(rng_np, cfg)
-    loss = mse_loss(model.forward_batch(x, rng=Rng(0)), y)
-    ops = [node.op for node in graph_nodes(loss)]
+    ops = training_ops(cfg, rng_np, batch=3)
     assert ops.count("layer_norm") == 2 * cfg.n_encoder_layers + 3 * cfg.n_decoder_layers
     assert ops.count("attention_core") == cfg.n_encoder_layers + 2 * cfg.n_decoder_layers
-    assert not {"softmax", "div", "pow"} & set(ops)
+    assert ops.count("mse_loss") == 1
+    assert set(ops) == TRAINING_OPS
+    # the desk recipe: 5 channels at D=64, d_ff=128, in a batch of 4 windows
+    desk = ModelConfig(seq_len=96, pred_len=96, n_channels=5, d_model=64, d_ff=128)
+    ops = training_ops(desk, rng_np, batch=4)
+    assert set(ops) == TRAINING_OPS
+    assert len(ops) == 83

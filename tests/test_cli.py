@@ -15,7 +15,14 @@ from patchformer import (
     load_checkpoint,
     save_checkpoint,
 )
-from patchformer.cli import ResultsTable, RunConfig, build_parser, main, resolve_config
+from patchformer.cli import (
+    ResultsTable,
+    RunConfig,
+    build_parser,
+    main,
+    resolve_config,
+    run_train,
+)
 from patchformer.data import load_csv
 from patchformer.errors import ConfigError, DataError
 
@@ -207,6 +214,19 @@ def test_checkpoint_stores_scaler_and_channels(cli_run):
     assert bundle.channel_names == ["electricity", "gas", "heat"]
     assert bundle.scaler_mean.shape == (3,)
     assert bundle.model.cfg.seq_len == 32
+
+
+def test_run_train_keeps_best_state_whole(tmp_path):
+    """Building the best model from ``best_state`` must not empty the returned dict."""
+    cfg = RunConfig(
+        synth_length=400, synth_channels=2, seq_len=32, pred_len=8, patch_len=8, stride=4,
+        d_model=16, n_heads=2, d_ff=32, epochs=2, batch_size=16, lr=1e-3,
+        out_dir=str(tmp_path),
+    )
+    out = run_train(cfg)
+    assert list(out.result.best_state) == out.model.store.names()
+    for name, tensor in out.model.store.items():
+        np.testing.assert_array_equal(out.result.best_state[name], tensor.data)
 
 
 # -- evaluate / forecast --------------------------------------------------------------

@@ -5,6 +5,11 @@ import pytest
 
 from patchformer import ParameterStore, Tensor, finite_diff_check
 from patchformer.errors import DeterminismError, NumericsError
+from patchformer.tensor import linear
+
+
+def sum_of_squares(w: Tensor) -> Tensor:
+    return linear(w.reshape(1, -1), w.reshape(-1, 1))
 
 
 def quadratic_store():
@@ -16,7 +21,7 @@ def quadratic_store():
 def test_quadratic_is_exact_to_fd_accuracy():
     store = quadratic_store()
     w = dict(store.items())["w"]
-    report = finite_diff_check(lambda: (w * w).sum(), store, tol=1e-8)
+    report = finite_diff_check(lambda: sum_of_squares(w), store, tol=1e-8)
     assert report.passed
     assert report.max_rel_err < 1e-8
 
@@ -32,7 +37,7 @@ def test_constant_loss_has_zero_gradient():
 def test_corrupted_gradient_is_caught():
     store = quadratic_store()
     w = dict(store.items())["w"]
-    report = finite_diff_check(lambda: (w * w).sum(), store, corrupt="w")
+    report = finite_diff_check(lambda: sum_of_squares(w), store, corrupt="w")
     assert not report.passed
     assert report.worst.name == "w"
 
@@ -44,7 +49,7 @@ def test_nondeterministic_loss_is_rejected():
 
     def flaky():
         state["calls"] += 1
-        return (w * w).sum() + float(state["calls"])
+        return sum_of_squares(w) + Tensor(float(state["calls"]))
 
     with pytest.raises(DeterminismError):
         finite_diff_check(flaky, store)
@@ -60,7 +65,7 @@ def test_report_lines_name_every_parameter():
     store = ParameterStore(seed=0)
     a = store.add("a", np.array([1.0]))
     b = store.add("b", np.array([2.0, 3.0]))
-    report = finite_diff_check(lambda: (a * a).sum() + (b * b).sum(), store)
+    report = finite_diff_check(lambda: sum_of_squares(a) + sum_of_squares(b), store)
     lines = report.format_lines()
     assert any("a" in line for line in lines)
     assert any("b" in line for line in lines)
@@ -72,4 +77,4 @@ def test_unknown_corrupt_name_is_rejected():
     store = quadratic_store()
     w = dict(store.items())["w"]
     with pytest.raises(Exception):
-        finite_diff_check(lambda: (w * w).sum(), store, corrupt="nope")
+        finite_diff_check(lambda: sum_of_squares(w), store, corrupt="nope")

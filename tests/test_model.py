@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -561,10 +562,24 @@ def test_build_from_state_keeps_no_given_array(tiny_model):
     state = tiny_model.store.state_dict()
     given = [weakref.ref(values) for values in state.values()]
     built = PatchformerModel.build(tiny_model.cfg, state)
-    del state
+    assert state == {}  # each array is popped out as it is copied
     assert all(ref() is None for ref in given)
     for name, tensor in built.store.items():
         np.testing.assert_array_equal(tensor.data, tiny_model.store[name].data)
+
+
+def test_load_checkpoint_peak_holds_one_copy_of_the_weights(tmp_path):
+    """Each loaded array is dropped as its owned copy is made, so they never all coexist."""
+    cfg = ModelConfig(seq_len=96, pred_len=96, n_channels=1, d_model=128)
+    path = save_checkpoint(PatchformerModel.build(cfg), tmp_path / "model.npz")
+    tracemalloc.start()
+    try:
+        model = load_checkpoint(path).model
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = sum(tensor.data.nbytes for _, tensor in model.store.items())
+    assert peak <= 1.2 * weights, f"load peak {peak / weights:.2f}x the weight bytes"
 
 
 def test_load_checkpoint_draws_nothing(tiny_model, tmp_path, rng_np, monkeypatch):

@@ -2,7 +2,8 @@
 
 Every differentiable primitive gets a central-difference comparison on random
 seeded inputs, plus hand-computed oracles where a closed form is short enough
-to write down.
+to write down.  Scalar losses come from ``probed`` and the finer ops of
+``composite_ops``, which the core itself does not carry.
 """
 
 import math
@@ -20,13 +21,24 @@ from patchformer.tensor import (
     layer_norm,
     linear,
     matmul,
-    reduce_mean,
-    reduce_sum,
+    mse_loss,
     relu,
     reshape,
     softmax_lastdim,
     take,
     transpose,
+)
+
+from composite_ops import (
+    attention_weights,
+    composite_mse_loss,
+    div,
+    mul,
+    probed,
+    reduce_mean,
+    reduce_sum,
+    sqrt,
+    sub,
 )
 
 
@@ -76,9 +88,9 @@ def check_broadcast_binary(op, b_offset: float = 0.0):
         part[rng.integers(len(part))] = 1
         a, b = rng.normal(size=full), rng.normal(size=part)
         b += b_offset * np.sign(b)
-        probe = Tensor(rng.normal(size=full))
-        check_primitive(lambda t: (op(t, Tensor(b)) * probe).sum(), a)
-        check_primitive(lambda t: (op(Tensor(a), t) * probe).sum(), b)
+        probe = rng.normal(size=full)
+        check_primitive(lambda t: probed(op(t, Tensor(b)), probe), a)
+        check_primitive(lambda t: probed(op(Tensor(a), t), probe), b)
 
 
 # -- forward oracles -----------------------------------------------------------
@@ -148,7 +160,7 @@ def test_relu_forward_and_grad():
     x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
     out = relu(x)
     assert out.data.tolist() == [0.0, 0.0, 2.0]
-    out.sum().backward()
+    reduce_sum(out).backward()
     assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -157,7 +169,7 @@ def test_relu_propagates_nan():
     out = relu(x)
     assert np.isnan(out.data[0])
     assert out.data[1:].tolist() == [0.0, 2.0]
-    (out * Tensor(np.array([0.0, 1.0, 1.0]))).sum().backward()
+    probed(out, [0.0, 1.0, 1.0]).backward()
     assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -191,27 +203,27 @@ def test_item_rejects_vectors():
 
 def test_sum_gradient_is_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    x.sum().backward()
+    reduce_sum(x).backward()
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_sum_of_squares_gradient():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    (x * x).sum().backward()
+    reduce_sum(mul(x, x)).backward()
     assert x.grad.tolist() == [2.0, 4.0]
 
 
 def test_three_op_chain_exact():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = (x * 2.0 + 3.0) ** 2
-    y.sum().backward()
+    inner = mul(x, 2.0) + Tensor(3.0)
+    reduce_sum(mul(inner, inner)).backward()
     assert x.grad.tolist() == [20.0, 28.0]
 
 
 def test_broadcast_add_unbroadcasts_grad():
     a = Tensor(np.zeros((2, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
-    (a + b).sum().backward()
+    reduce_sum(a + b).backward()
     np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
 
@@ -219,12 +231,12 @@ def test_broadcast_add_unbroadcasts_grad():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
-        (x * 2.0).backward()
+        (x + x).backward()
 
 
 def test_repeated_backward_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    loss = (x * x).sum()
+    loss = reduce_sum(mul(x, x))
     loss.backward()
     first = x.grad.copy()
     loss.backward()
@@ -234,15 +246,15 @@ def test_repeated_backward_accumulates():
 def test_no_grad_builds_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
-        out = (x * 2.0).sum()
+        out = reduce_sum(x + x)
     out.backward()
     assert x.grad is None
 
 
 def test_shared_node_gradient_adds():
     x = Tensor(np.array([3.0]), requires_grad=True)
-    y = x * 2.0
-    (y + y).sum().backward()
+    y = mul(x, 2.0)
+    reduce_sum(y + y).backward()
     assert x.grad.tolist() == [4.0]
 
 
@@ -254,36 +266,24 @@ def test_grad_add_broadcast():
 
 
 def test_grad_sub():
-    check_broadcast_binary(lambda a, b: a - b)
+    check_broadcast_binary(sub)
 
 
 def test_grad_mul_broadcast():
-    check_broadcast_binary(lambda a, b: a * b)
+    check_broadcast_binary(mul)
 
 
 def test_grad_div():
-    check_broadcast_binary(lambda a, b: a / b, b_offset=0.5)
-
-
-def test_grad_neg_pow():
-    """Integer powers of a negative base, at seeded shapes and exponents."""
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        w = -np.abs(rng.normal(size=random_shape(rng))) - 0.5
-        exponent = int(rng.choice([-2, -1, 2, 3]))
-        probe = Tensor(rng.normal(size=w.shape))
-        check_primitive(lambda t: (t**exponent * probe).sum(), w)
+    check_broadcast_binary(div, b_offset=0.5)
 
 
 def test_grad_sqrt():
-    """``sqrt`` and other fractional powers of a positive base, at seeded shapes."""
+    """``sqrt`` of a positive base, at seeded shapes."""
     for seed in range(6):
         rng = np.random.default_rng(seed)
         w = np.abs(rng.normal(size=random_shape(rng))) + 0.5
-        exponent = float(rng.choice([-0.5, 1.5]))
-        probe = Tensor(rng.normal(size=w.shape))
-        check_primitive(lambda t: (t.sqrt() * probe).sum(), w)
-        check_primitive(lambda t: (t**exponent * probe).sum(), w)
+        probe = rng.normal(size=w.shape)
+        check_primitive(lambda t: probed(sqrt(t), probe), w)
 
 
 def test_grad_relu_away_from_kink():
@@ -291,8 +291,8 @@ def test_grad_relu_away_from_kink():
         rng = np.random.default_rng(seed)
         w = rng.normal(size=random_shape(rng))
         w[np.abs(w) < 0.1] = 0.5
-        probe = Tensor(rng.normal(size=w.shape))
-        check_primitive(lambda t: (t.relu() * probe).sum(), w)
+        probe = rng.normal(size=w.shape)
+        check_primitive(lambda t: probed(t.relu(), probe), w)
 
 
 def check_matmul(batches, which: int):
@@ -305,12 +305,12 @@ def check_matmul(batches, which: int):
         a_batch, b_batch = batches(rng)
         m, k, n = random_shape(rng, 3, 3)
         inputs = [rng.normal(size=(*a_batch, m, k)), rng.normal(size=(*b_batch, k, n))]
-        probe = Tensor(rng.normal(size=np.matmul(*inputs).shape))
+        probe = rng.normal(size=np.matmul(*inputs).shape)
 
         def fn(t):
             args = [Tensor(x) for x in inputs]
             args[which] = t
-            return (matmul(*args) * probe).sum()
+            return probed(matmul(*args), probe)
 
         check_primitive(fn, inputs[which])
 
@@ -364,9 +364,9 @@ def test_grad_reshape_transpose():
         else:
             axes = tuple(int(a) for a in rng.permutation(len(shape)))
             out_shape = tuple(reordered[a] for a in axes)
-        probe = Tensor(rng.normal(size=out_shape))
+        probe = rng.normal(size=out_shape)
         w = rng.normal(size=shape)
-        check_primitive(lambda t: (transpose(reshape(t, reordered), axes) ** 2 * probe).sum(), w)
+        check_primitive(lambda t: probed(transpose(reshape(t, reordered), axes), probe), w)
 
 
 def test_grad_take_slice():
@@ -379,7 +379,9 @@ def test_grad_take_slice():
             else slice(int(rng.integers(n)), n, int(rng.integers(1, 3)))
             for n in shape
         )
-        check_primitive(lambda t: (take(t, index) ** 2).sum(), rng.normal(size=shape))
+        w = rng.normal(size=shape)
+        probe = rng.normal(size=w[index].shape)
+        check_primitive(lambda t: probed(take(t, index), probe), w)
 
 
 def check_reduction(reduce):
@@ -392,8 +394,8 @@ def check_reduction(reduce):
         axis = tuple(int(a) - (w.ndim if seed % 2 else 0) for a in picked)
         axis = axis[0] if len(axis) == 1 else axis
         keepdims = bool(rng.integers(2))
-        probe = Tensor(rng.normal(size=reduce(Tensor(w), axis, keepdims).shape))
-        check_primitive(lambda t: (reduce(t, axis, keepdims) ** 2 * probe).sum(), w)
+        probe = rng.normal(size=reduce(Tensor(w), axis, keepdims).shape)
+        check_primitive(lambda t: probed(reduce(t, axis, keepdims), probe), w)
 
 
 def test_grad_reduce_sum_axis():
@@ -406,16 +408,16 @@ def test_grad_reduce_mean():
 
 def test_grad_layer_norm(rng_np):
     w = rng_np.normal(size=(2, 8))
-    probe = Tensor(rng_np.normal(size=(2, 8)))
-    check_primitive(lambda t: (layer_norm(t, *identity_affine(8), eps=1e-5) * probe).sum(), w)
+    probe = rng_np.normal(size=(2, 8))
+    check_primitive(lambda t: probed(layer_norm(t, *identity_affine(8), eps=1e-5), probe), w)
 
 
 def test_grad_softmax():
     for seed in range(6):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=random_shape(rng))
-        probe = Tensor(rng.normal(size=w.shape))
-        check_primitive(lambda t: (softmax_lastdim(t) * probe).sum(), w)
+        probe = rng.normal(size=w.shape)
+        check_primitive(lambda t: probed(softmax_lastdim(t), probe), w)
 
 
 def test_grad_dropout_with_pinned_mask():
@@ -423,9 +425,10 @@ def test_grad_dropout_with_pinned_mask():
         rng = np.random.default_rng(seed)
         w = rng.normal(size=random_shape(rng))
         rate = float(rng.uniform(0.1, 0.7))
+        probe = rng.normal(size=w.shape)
 
         def fn(t):
-            return (dropout(t, rate, Rng(7).child(seed)) ** 2).sum()
+            return probed(dropout(t, rate, Rng(7).child(seed)), probe)
 
         check_primitive(fn, w)
 
@@ -465,9 +468,9 @@ def test_dropout_rejects_bad_rate():
 
 def composite_layer_norm(x, gamma, beta, eps):
     mean = reduce_mean(x, (-2, -1), keepdims=True)
-    centered = x - mean
-    var = reduce_mean(centered * centered, (-2, -1), keepdims=True)
-    return (centered / (var.sqrt() + eps)) * gamma + beta
+    centered = sub(x, mean)
+    var = reduce_mean(mul(centered, centered), (-2, -1), keepdims=True)
+    return mul(div(centered, sqrt(var) + Tensor(eps)), gamma) + beta
 
 
 def composite_linear(x, w, b=None):
@@ -481,9 +484,9 @@ def composite_attention_core(q, k, v, n_heads, keep):
     q_heads = q.reshape(b, z_q, n_heads, d).transpose((0, 2, 1, 3))
     k_heads = k.reshape(b, z_kv, n_heads, d).transpose((0, 2, 1, 3))
     v_heads = v.reshape(b, z_kv, n_heads, e).transpose((0, 2, 1, 3))
-    weights = softmax_lastdim((q_heads @ k_heads.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(d)))
+    weights = softmax_lastdim(mul(q_heads @ k_heads.transpose((0, 1, 3, 2)), 1.0 / math.sqrt(d)))
     if keep is not None:
-        weights = weights * Tensor(keep)
+        weights = mul(weights, keep)
     return reduce_sum(weights @ v_heads, axis=1), weights
 
 
@@ -493,8 +496,7 @@ def assert_same_vjp(fused, composite, inputs):
     for fn in (fused, composite):
         leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
         out = fn(*leaves)
-        probe = np.random.default_rng(99).normal(size=out.shape)
-        (out * Tensor(probe)).sum().backward()
+        probed(out, np.random.default_rng(99).normal(size=out.shape)).backward()
         results.append((out.data, [leaf.grad for leaf in leaves]))
     (out_f, grads_f), (out_c, grads_c) = results
     np.testing.assert_allclose(out_f, out_c, rtol=1e-12, atol=1e-12)
@@ -551,11 +553,11 @@ def attention_case(seed: int, with_keep: bool):
 def test_attention_core_matches_composite(seed, with_keep):
     inputs, heads, keep = attention_case(seed, with_keep)
     assert_same_vjp(
-        lambda q, k, v: attention_core(q, k, v, heads, keep)[0],
+        lambda q, k, v: attention_core(q, k, v, heads, keep),
         lambda q, k, v: composite_attention_core(q, k, v, heads, keep)[0],
         inputs,
     )
-    fused = attention_core(*map(Tensor, inputs), heads, keep)[1]
+    fused = attention_weights(*map(Tensor, inputs[:2]), heads, keep)
     composite = composite_attention_core(*map(Tensor, inputs), heads, keep)[1].data
     np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=1e-12)
 
@@ -563,12 +565,12 @@ def test_attention_core_matches_composite(seed, with_keep):
 @pytest.mark.parametrize("which", range(3))
 def test_grad_layer_norm_each_input(rng_np, which):
     inputs = [rng_np.normal(size=(2, 3, 4)), rng_np.normal(size=4), rng_np.normal(size=4)]
-    probe = Tensor(rng_np.normal(size=(2, 3, 4)))
+    probe = rng_np.normal(size=(2, 3, 4))
 
     def fn(t):
         args = [Tensor(x) for x in inputs]
         args[which] = t
-        return (layer_norm(*args, eps=1e-5) * probe).sum()
+        return probed(layer_norm(*args, eps=1e-5), probe)
 
     check_primitive(fn, inputs[which])
 
@@ -576,25 +578,25 @@ def test_grad_layer_norm_each_input(rng_np, which):
 def test_layer_norm_constant_block_has_finite_gradients(rng_np):
     """A flat (Z, D) block has std 0; its std term must be 0, not 0 / 0."""
     x = Tensor(np.full((3, 4), 7.0), requires_grad=True)
-    probe = Tensor(rng_np.normal(size=(3, 4)))
+    probe = rng_np.normal(size=(3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        (layer_norm(x, *identity_affine(4), eps=1e-5) * probe).sum().backward()
+        probed(layer_norm(x, *identity_affine(4), eps=1e-5), probe).backward()
     assert np.all(np.isfinite(x.grad))
     # with std 0 the block is divided by eps alone, minus its mean
-    g = probe.data / 1e-5
+    g = probe / 1e-5
     np.testing.assert_allclose(x.grad, g - g.mean(), rtol=1e-12)
 
 
 @pytest.mark.parametrize("which", range(3))
 def test_grad_linear_each_input(rng_np, which):
     inputs = [rng_np.normal(size=(2, 3, 4)), rng_np.normal(size=(4, 5)), rng_np.normal(size=5)]
-    probe = Tensor(rng_np.normal(size=(2, 3, 5)))
+    probe = rng_np.normal(size=(2, 3, 5))
 
     def fn(t):
         args = [Tensor(x) for x in inputs]
         args[which] = t
-        return (linear(*args) * probe).sum()
+        return probed(linear(*args), probe)
 
     check_primitive(fn, inputs[which])
 
@@ -604,12 +606,12 @@ def test_grad_linear_each_input(rng_np, which):
 def test_grad_attention_core_each_input(which, with_keep):
     inputs, heads, keep = attention_case(1, with_keep)
     q, _, v = inputs
-    probe = Tensor(np.random.default_rng(5).normal(size=(*q.shape[:2], v.shape[2] // heads)))
+    probe = np.random.default_rng(5).normal(size=(*q.shape[:2], v.shape[2] // heads))
 
     def fn(t):
         args = [Tensor(x) for x in inputs]
         args[which] = t
-        return (attention_core(*args, heads, keep)[0] * probe).sum()
+        return probed(attention_core(*args, heads, keep), probe)
 
     check_primitive(fn, inputs[which])
 
@@ -628,3 +630,68 @@ def test_fused_primitives_reject_bad_shapes():
         attention_core(q, Tensor(np.ones((1, 3, 6))), Tensor(np.ones((1, 3, 4))), 4)
     with pytest.raises(ShapeError):
         attention_core(q, Tensor(np.ones((1, 3, 6))), Tensor(np.ones((1, 2, 4))), 2)
+
+
+# -- the fused loss --------------------------------------------------------------
+
+
+def loss_case(seed: int, transposed: bool):
+    """A seeded (leaf, target) pair; ``transposed`` feeds the loss a strided view.
+
+    ``forward_batch`` hands the loss its (B, C, O) output transposed to
+    (B, O, C), so that layout is checked along with a contiguous one.
+    """
+    rng = np.random.default_rng(seed)
+    shape = random_shape(rng, min_ndim=3 if transposed else 1)
+    leaf = rng.normal(scale=rng.uniform(0.1, 10.0), size=shape)
+    target_shape = (shape[0], shape[2], shape[1]) if transposed else shape
+    return leaf, rng.normal(size=target_shape)
+
+
+def loss_and_grad(loss_fn, leaf_values, target, transposed):
+    leaf = Tensor(leaf_values.copy(), requires_grad=True)
+    pred = transpose(leaf, (0, 2, 1)) if transposed else leaf
+    loss = loss_fn(pred, target)
+    loss.backward()
+    return loss.data, leaf.grad
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("transposed", [False, True])
+def test_mse_loss_matches_composite_bitwise(seed, transposed):
+    leaf, target = loss_case(seed, transposed)
+    fused_value, fused_grad = loss_and_grad(mse_loss, leaf, target, transposed)
+    value, grad = loss_and_grad(composite_mse_loss, leaf, target, transposed)
+    assert fused_value.shape == value.shape == ()
+    assert fused_value.tobytes() == value.tobytes()
+    assert fused_grad.tobytes() == grad.tobytes()
+
+
+def test_mse_loss_records_one_node():
+    leaf, target = loss_case(0, True)
+    pred = transpose(Tensor(leaf, requires_grad=True), (0, 2, 1))
+    loss = mse_loss(pred, target)
+    assert loss.op == "mse_loss" and loss._parents == (pred,)
+
+
+def test_grad_mse_loss():
+    for seed in range(6):
+        leaf, target = loss_case(seed, False)
+        check_primitive(lambda t: mse_loss(t, target), leaf)
+
+
+def test_mse_loss_refuses_bad_inputs():
+    with pytest.raises(ShapeError):
+        mse_loss(Tensor(np.ones((0, 3))), np.ones((0, 3)))
+    with pytest.raises(ShapeError):
+        mse_loss(Tensor(np.ones((2, 3))), np.ones((3, 2)))
+    with pytest.raises(ShapeError):
+        mse_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+
+def test_operators_take_only_tensors():
+    x = Tensor(np.ones((2, 2)))
+    with pytest.raises(TypeError):
+        x + 1.0
+    with pytest.raises(TypeError):
+        x @ 1.0
