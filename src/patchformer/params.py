@@ -84,19 +84,10 @@ class ParameterStore:
         self._entries: dict[str, Tensor] = {}
         self._pending = state
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __getitem__(self, name: str) -> Tensor:
         if name not in self._entries:
             raise ConfigError(f"unknown parameter {name!r}")
         return self._entries[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())
@@ -150,9 +141,11 @@ class ParameterStore:
     def ones(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self._register(name, shape, lambda: np.ones(shape))
 
+    # ``zero_grads`` does nothing (no tensor holds a gradient) and nothing calls
+    # it, but bench/spans.py rebinds ``ParameterStore.zero_grads`` by looking it
+    # up in this class's namespace, so a traced run fails with KeyError without it.
     def zero_grads(self) -> None:
-        for tensor in self._entries.values():
-            tensor.grad = None
+        pass
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._entries.items()}

@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Tensor wraps a numpy array together with an optional gradient and a record
-of how it was produced.  Calling ``backward()`` on a scalar result walks the
-recorded graph once in reverse topological order and accumulates gradients
-into every reachable tensor whose ``requires_grad`` flag is set.  Gradients
-add up across repeated ``backward()`` calls; clear them with
-``ParameterStore.zero_grads`` between optimisation steps.
+A Tensor wraps a numpy array together with a record of how it was produced.
+Calling ``backward()`` on a scalar result walks the recorded graph once in
+reverse topological order and returns the gradient of every reachable leaf
+whose ``requires_grad`` flag is set, as a map from leaf to array.  Nothing is
+stored on any tensor, so a graph can be walked again, and threads that share
+weights never write to them.  Grad mode is per thread: ``no_grad`` switches
+recording off in the thread that enters it and nowhere else.
 
 All data is kept in float64.  Operations never mutate their inputs, so the
 recorded graph stays valid until it is garbage collected with the loss.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,26 +47,29 @@ __all__ = [
 ]
 
 
-class _GradMode:
-    """Process-wide switch for graph recording (single-threaded use)."""
+class _GradMode(threading.local):
+    """Per-thread switch for graph recording; every thread starts with it on."""
 
     enabled: bool = True
 
 
+_grad_mode = _GradMode()
+
+
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block; useful for evaluation loops."""
-    previous = _GradMode.enabled
-    _GradMode.enabled = False
+    """Disable graph recording in this thread inside the block."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GradMode.enabled = previous
+        _grad_mode.enabled = previous
 
 
 def grad_enabled() -> bool:
-    """Whether ops are being recorded for ``backward`` (False inside ``no_grad``)."""
-    return _GradMode.enabled
+    """Whether this thread records ops for ``backward`` (False inside ``no_grad``)."""
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -81,11 +86,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "op")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "op")
+
+    # ``ndarray + Tensor`` and ``ndarray @ Tensor`` raise TypeError at once;
+    # without this numpy first walks the Tensor as a nested sequence.
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: np.ndarray = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
@@ -122,11 +130,12 @@ class Tensor:
 
     # -- backward pass ----------------------------------------------------
 
-    def backward(self) -> None:
-        """Propagate d(self)/d(ancestor) into ``grad`` of every ancestor.
+    def backward(self) -> dict["Tensor", np.ndarray]:
+        """d(self)/d(leaf) for every reachable tensor with ``requires_grad``.
 
-        ``self`` must hold exactly one element.  Each call adds a fresh pass
-        over the same graph, so gradients accumulate until cleared.
+        ``self`` must hold exactly one element.  The map is keyed by the
+        tensors themselves and holds one fresh array per key; nothing is
+        stored on the graph, so calling again returns an equal map.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -147,13 +156,14 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
+        grads: dict[Tensor, np.ndarray] = {}
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
             grad = flowing.pop(id(node), None)
             if grad is None:
                 continue
             if node.requires_grad:
-                node.grad = grad.copy() if node.grad is None else node.grad + grad
+                grads[node] = grad.copy()
             if node._vjp is None:
                 continue
             for parent, piece in zip(node._parents, node._vjp(grad)):
@@ -164,6 +174,7 @@ class Tensor:
                     flowing[key] = flowing[key] + piece
                 else:
                     flowing[key] = piece
+        return grads
 
     # -- operator sugar ----------------------------------------------------
 
@@ -190,8 +201,7 @@ class Tensor:
 
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     out = Tensor(data)
-    if _GradMode.enabled and any(p.requires_grad or p._vjp is not None for p in parents):
-        out.requires_grad = False
+    if _grad_mode.enabled and any(p.requires_grad or p._vjp is not None for p in parents):
         out._parents = parents
         out._vjp = vjp
         out.op = op

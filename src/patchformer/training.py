@@ -26,7 +26,7 @@ from .data import TimeSeriesTable, make_windows
 from .errors import ConfigError, ShapeError, TrainingError
 from .model import PatchformerModel
 from .params import ParameterStore, Rng, read_only
-from .tensor import mse_loss, no_grad
+from .tensor import Tensor, mse_loss, no_grad
 
 __all__ = [
     "mse_loss",
@@ -88,21 +88,20 @@ class AdamState:
         return state
 
 
-def adam_step(params: ParameterStore, state: AdamState) -> None:
-    """One bias-corrected Adam update; consumes and clears the gradients."""
+def adam_step(params: ParameterStore, state: AdamState, grads: dict[Tensor, np.ndarray]) -> None:
+    """One bias-corrected Adam update from the map ``loss.backward()`` returns."""
     state.step_count += 1
     t = state.step_count
     correct1 = 1.0 - ADAM_BETA1**t
     correct2 = 1.0 - ADAM_BETA2**t
     for name, tensor in params.items():
-        grad = tensor.grad
+        grad = grads.get(tensor)
         if grad is None:
-            raise TrainingError(f"parameter {name!r} has no gradient; run backward first")
+            raise TrainingError(f"parameter {name!r} has no gradient in the map")
         m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * grad
         v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (grad * grad)
         step = state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
         tensor.data = read_only(tensor.data - step)
-    params.zero_grads()
 
 
 @dataclass
@@ -253,7 +252,6 @@ def train(
             picked = order[start : start + cfg.batch_size]
             x = windows[picked, :seq_len]
             y = windows[picked, seq_len:]
-            model.store.zero_grads()
             pred = model.forward_batch(x, dropout_rng.child(epoch, batch_idx))
             loss = mse_loss(pred, y)
             batch_mse = loss.item()
@@ -262,8 +260,7 @@ def train(
                     f"training diverged at epoch {epoch} batch {batch_idx}: "
                     f"loss is {batch_mse}"
                 )
-            loss.backward()
-            adam_step(model.store, adam)
+            adam_step(model.store, adam, loss.backward())
             weight = y.size
             sum_sq += batch_mse * weight
             sum_abs += float(np.abs(pred.data - y).sum())

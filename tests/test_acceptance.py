@@ -175,8 +175,7 @@ def test_criterion_06_overfit_oracle(announce):
     final = float("inf")
     for _ in range(500):
         loss = mse_loss(model.forward_batch(x), y)
-        loss.backward()
-        adam_step(model.store, state)
+        adam_step(model.store, state, loss.backward())
         final = loss.item()
         if final < 1e-2:
             break

@@ -219,8 +219,7 @@ def test_memoised_product_follows_adam_step(tiny_model, rng_np):
     x, y = windows(rng_np, tiny_model.cfg)
     no_grad_forward(tiny_model, x)  # memoises every block's product
     state = AdamState.init(tiny_model.store, lr=1e-2)
-    mse_loss(tiny_model.forward_batch(x), y).backward()
-    adam_step(tiny_model.store, state)
+    adam_step(tiny_model.store, state, mse_loss(tiny_model.forward_batch(x), y).backward())
     np.testing.assert_array_equal(
         no_grad_forward(tiny_model, x), no_grad_forward(loaded_copy(tiny_model), x)
     )
@@ -237,8 +236,8 @@ def test_parameter_arrays_reject_in_place_writes(tiny_model, rng_np):
 
     assert_read_only(store)  # as built
     assert_read_only(loaded_copy(tiny_model).store)
-    mse_loss(tiny_model.forward_batch(x), y).backward()
-    adam_step(store, AdamState.init(store, lr=1e-2))
+    grads = mse_loss(tiny_model.forward_batch(x), y).backward()
+    adam_step(store, AdamState.init(store, lr=1e-2), grads)
     assert_read_only(store)
 
 
@@ -286,9 +285,9 @@ def test_training_graph_never_projects_values(tiny_model, rng_np):
     assert {node.op for node in gemms} == {"matmul", "linear"}
     for node in gemms:
         assert not any(id(p) in w_values for p in node._parents), node.op
-    loss.backward()
+    grads = loss.backward()
     for name in w_values.values():
-        grad = tiny_model.store[name].grad
+        grad = grads.get(tiny_model.store[name])
         assert grad is not None and np.any(grad != 0.0), name
 
 

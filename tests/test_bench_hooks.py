@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from patchformer import (
+    AdamState,
     ModelConfig,
     PatchformerModel,
     Rng,
@@ -53,12 +54,16 @@ def test_bench_tracer_records_a_training_step_and_a_forecast(monkeypatch):
     tracer = spans.Tracer()
     with tracer.installed():
         model = PatchformerModel.build(cfg)
-        mse_loss(model.forward_batch(x, rng=Rng(0)), np.zeros((3, 8, 2))).backward()
+        grads = mse_loss(model.forward_batch(x, rng=Rng(0)), np.zeros((3, 8, 2))).backward()
+        training.adam_step(model.store, AdamState.init(model.store, lr=1e-3), grads)
         model.forward(x[0])
+    # the wrappers hand back what the wrapped calls return
+    assert set(grads) == {tensor for _, tensor in model.store.items()}
     recorded = set(tracer.names)
     for name in (
         "tensor.dropout", "attention.self_attn", "attention.cross_attn",
-        "model.encoder_layer", "model.decoder_layer", "tensor.backward", "model.forward",
+        "model.encoder_layer", "model.decoder_layer", "tensor.backward", "training.adam",
+        "model.forward",
     ):
         assert name in recorded, name
 

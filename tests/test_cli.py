@@ -543,6 +543,50 @@ def test_negative_seed_is_a_usage_error(command, flags, config_line, tmp_path, c
     assert "non-negative" in capsys.readouterr().err
 
 
+# Every numeric RunConfig field, each set from a small valid seeded run that
+# trains in well under a second; the table sends each hostile value in alone.
+NUMERIC_BASE = {
+    "synth_length": 400, "synth_channels": 2, "synth_seed": 0, "synth_noise_std": 0.1,
+    "seq_len": 16, "pred_len": 8, "patch_len": 4, "stride": 2, "d_model": 8, "n_heads": 2,
+    "d_ff": 16, "e_layers": 1, "d_layers": 1, "dropout": 0.0, "epochs": 1,
+    "batch_size": 32, "lr": 1e-3, "seed": 0,
+}
+HOSTILE_VALUES = ("nan", "inf", "-inf", "0", "-1")
+# The only hostile values a run accepts, as the README lists them: a zero learning
+# rate, dropout, noise or seed.
+VALID_ZEROS = {("lr", "0"), ("dropout", "0"), ("synth_noise_std", "0"),
+               ("seed", "0"), ("synth_seed", "0")}
+
+
+def test_every_numeric_setting_refuses_nan_inf_zero_and_negative(tmp_path, capsys):
+    numeric = {f.name for f in fields(RunConfig) if f.type in ("int", "int | None", "float")}
+    assert numeric == set(NUMERIC_BASE)
+    cfg_file = tmp_path / "run.cfg"
+    refused = accepted = 0
+    for name in NUMERIC_BASE:
+        base = {k: v for k, v in NUMERIC_BASE.items() if k != name}
+        base_flags = [f"--{k.replace('_', '-')}={v}" for k, v in base.items()]
+        for value in HOSTILE_VALUES:
+            flag = f"--{name.replace('_', '-')}={value}"
+            cfg_file.write_text(f"{name}={value}\n")
+            entries = {"flag": [flag], "config line": ["--config", str(cfg_file)]}
+            for entry, extra in entries.items():
+                case = f"{name}={value} by {entry}"
+                argv = ["train", *base_flags, *extra, "--out-dir", str(tmp_path / "out")]
+                if (name, value) not in VALID_ZEROS:
+                    assert main(argv) == 1, case
+                    assert capsys.readouterr().err.startswith("error: "), case
+                    refused += 1
+                    continue
+                args = build_parser().parse_args(argv)
+                cfg = resolve_config(vars(args), args.config)
+                assert getattr(cfg, name) == 0, case
+                cfg.train_config(), cfg.model_config(n_channels=2), cfg.synth_spec()
+                accepted += 1
+    assert (refused, accepted) == (2 * (5 * 18 - 5), 2 * 5)
+    assert not (tmp_path / "out").exists()
+
+
 def _head_as_text(arrays):
     arrays["param.head.weight"] = arrays["param.head.weight"].astype(str)
 

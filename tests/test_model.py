@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -350,6 +352,59 @@ def test_forward_is_deterministic(tiny_model, rng_np):
     np.testing.assert_array_equal(first, second)
 
 
+def test_threads_share_weights_and_return_the_serial_gradients(tiny_config, rng_np):
+    """Threads train and evaluate one model at once; each gets what a serial call returns.
+
+    Two threads each run forward and backward on their own input while two
+    more evaluate under ``no_grad``: more threads than cores, with a short
+    switch interval.  A grad mode shared across threads would leave a
+    training graph unrecorded and its gradient map short.
+    """
+    model = PatchformerModel.build(replace(tiny_config, dropout=0.1))
+    inputs = [
+        (rng_np.normal(size=(3, 16, 2)), rng_np.normal(size=(3, 8, 2))) for _ in range(2)
+    ]
+
+    def train_step(x, y):
+        return mse_loss(model.forward_batch(x, Rng(0)), y).backward()
+
+    def evaluate(x):
+        with no_grad():
+            return model.forward_batch(x).data
+
+    serial = [train_step(x, y) for x, y in inputs] + [evaluate(x) for x, _ in inputs]
+    jobs = [lambda i=i: train_step(*inputs[i]) for i in range(2)]
+    jobs += [lambda i=i: evaluate(inputs[i][0]) for i in range(2)]
+    start = threading.Barrier(len(jobs), timeout=30)
+    results = [[] for _ in jobs]
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            results[i].append(jobs[i]())
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for ours, expected in zip(results[:2], serial[:2]):
+        assert len(ours) == 3
+        for grads in ours:
+            assert list(grads) == list(expected)
+            assert all(grads[leaf].tobytes() == g.tobytes() for leaf, g in expected.items())
+    for ours, expected in zip(results[2:], serial[2:]):
+        assert len(ours) == 3 and all(out.tobytes() == expected.tobytes() for out in ours)
+    head = model.store["head.weight"]
+    assert serial[0][head].tobytes() != serial[1][head].tobytes()
+
+
 def test_channel_permutation_equivariance(tiny_config, rng_np):
     """Channels never mix: permuting input columns permutes output columns."""
     cfg = reference_cfg(n_channels=5)
@@ -637,8 +692,8 @@ def test_random_small_configs_build_train_and_round_trip():
         x = draw.normal(size=(2, cfg.seq_len, cfg.n_channels))
         y = draw.normal(size=(2, cfg.pred_len, cfg.n_channels))
         pred = model.forward_batch(x, Rng(cfg.seed).child(1))
-        mse_loss(pred, y).backward()
-        assert all(tensor.grad is not None for _, tensor in model.store.items()), raw
+        grads = mse_loss(pred, y).backward()
+        assert all(tensor in grads for _, tensor in model.store.items()), raw
         forecast = model.forward(x[0])
         assert forecast.shape == (cfg.pred_len, cfg.n_channels) and np.isfinite(forecast).all()
         reloaded = PatchformerModel.build(cfg, model.store.state_dict())

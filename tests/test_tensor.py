@@ -7,6 +7,8 @@ to write down.  Scalar losses come from ``probed`` and the finer ops of
 """
 
 import math
+import operator
+import threading
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from patchformer.params import Rng
 from patchformer.tensor import (
     attention_core,
     dropout_mask,
+    grad_enabled,
     layer_norm,
     linear,
     matmul,
@@ -44,9 +47,9 @@ from composite_ops import (
 
 def analytic_grad(fn, x0: np.ndarray) -> np.ndarray:
     leaf = Tensor(x0.copy(), requires_grad=True)
-    fn(leaf).backward()
-    assert leaf.grad is not None, "no gradient reached the leaf"
-    return leaf.grad.copy()
+    grads = fn(leaf).backward()
+    assert leaf in grads, "no gradient reached the leaf"
+    return grads[leaf]
 
 
 def numeric_grad(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -160,8 +163,7 @@ def test_relu_forward_and_grad():
     x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
     out = relu(x)
     assert out.data.tolist() == [0.0, 0.0, 2.0]
-    reduce_sum(out).backward()
-    assert x.grad.tolist() == [0.0, 0.0, 1.0]
+    assert reduce_sum(out).backward()[x].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_relu_propagates_nan():
@@ -169,8 +171,7 @@ def test_relu_propagates_nan():
     out = relu(x)
     assert np.isnan(out.data[0])
     assert out.data[1:].tolist() == [0.0, 2.0]
-    probed(out, [0.0, 1.0, 1.0]).backward()
-    assert x.grad.tolist() == [0.0, 0.0, 1.0]
+    assert probed(out, [0.0, 1.0, 1.0]).backward()[x].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_reshape_row_major_order():
@@ -203,29 +204,26 @@ def test_item_rejects_vectors():
 
 def test_sum_gradient_is_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    reduce_sum(x).backward()
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(reduce_sum(x).backward()[x], np.ones((2, 3)))
 
 
 def test_sum_of_squares_gradient():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    reduce_sum(mul(x, x)).backward()
-    assert x.grad.tolist() == [2.0, 4.0]
+    assert reduce_sum(mul(x, x)).backward()[x].tolist() == [2.0, 4.0]
 
 
 def test_three_op_chain_exact():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     inner = mul(x, 2.0) + Tensor(3.0)
-    reduce_sum(mul(inner, inner)).backward()
-    assert x.grad.tolist() == [20.0, 28.0]
+    assert reduce_sum(mul(inner, inner)).backward()[x].tolist() == [20.0, 28.0]
 
 
 def test_broadcast_add_unbroadcasts_grad():
     a = Tensor(np.zeros((2, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
-    reduce_sum(a + b).backward()
-    np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
-    np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
+    grads = reduce_sum(a + b).backward()
+    np.testing.assert_array_equal(grads[a], np.ones((2, 3)))
+    np.testing.assert_array_equal(grads[b], np.full(3, 2.0))
 
 
 def test_backward_requires_scalar():
@@ -234,28 +232,66 @@ def test_backward_requires_scalar():
         (x + x).backward()
 
 
-def test_repeated_backward_accumulates():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    loss = reduce_sum(mul(x, x))
-    loss.backward()
-    first = x.grad.copy()
-    loss.backward()
-    np.testing.assert_array_equal(x.grad, 2 * first)
+def test_backward_returns_equal_maps_and_stores_nothing(rng_np):
+    # two leaves of one ``add`` receive the same upstream array; the map must
+    # hold independent copies, and a second walk must see an untouched graph
+    a = Tensor(rng_np.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng_np.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng_np.normal(size=(4, 2)), requires_grad=True)
+    loss = probed(linear(relu(a + b), w), rng_np.normal(size=(3, 2)))
+    first = loss.backward()
+    second = loss.backward()
+    assert list(first) == list(second) and set(first) == {a, b, w}
+    for leaf in first:
+        assert first[leaf].tobytes() == second[leaf].tobytes()
+    assert first[a] is not first[b] and not np.shares_memory(first[a], first[b])
+    assert not any(hasattr(t, "grad") for t in (a, b, w, loss))
+
+
+def test_backward_skips_leaves_without_requires_grad():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, 4.0]))
+    assert set(reduce_sum(x + c).backward()) == {x}
 
 
 def test_no_grad_builds_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
         out = reduce_sum(x + x)
-    out.backward()
-    assert x.grad is None
+    assert out.backward() == {}
+
+
+def test_no_grad_in_another_thread_leaves_this_thread_recording(rng_np):
+    inside, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold_no_grad():
+        with no_grad():
+            seen["enabled"] = grad_enabled()
+            inside.set()
+            release.wait(timeout=30)
+        seen["after"] = grad_enabled()
+
+    w = Tensor(rng_np.normal(size=(3, 2)), requires_grad=True)
+    worker = threading.Thread(target=hold_no_grad)
+    worker.start()
+    try:
+        assert inside.wait(timeout=30)
+        out = linear(Tensor(rng_np.normal(size=(4, 3))), w)
+        recording = grad_enabled()
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert seen == {"enabled": False, "after": True}
+    assert recording and out._vjp is not None and out.op == "linear"
+    assert w in probed(out, rng_np.normal(size=(4, 2))).backward()
 
 
 def test_shared_node_gradient_adds():
     x = Tensor(np.array([3.0]), requires_grad=True)
     y = mul(x, 2.0)
-    reduce_sum(y + y).backward()
-    assert x.grad.tolist() == [4.0]
+    assert reduce_sum(y + y).backward()[x].tolist() == [4.0]
 
 
 # -- per-primitive finite differences ------------------------------------------
@@ -496,8 +532,8 @@ def assert_same_vjp(fused, composite, inputs):
     for fn in (fused, composite):
         leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
         out = fn(*leaves)
-        probed(out, np.random.default_rng(99).normal(size=out.shape)).backward()
-        results.append((out.data, [leaf.grad for leaf in leaves]))
+        grads = probed(out, np.random.default_rng(99).normal(size=out.shape)).backward()
+        results.append((out.data, [grads[leaf] for leaf in leaves]))
     (out_f, grads_f), (out_c, grads_c) = results
     np.testing.assert_allclose(out_f, out_c, rtol=1e-12, atol=1e-12)
     for gf, gc in zip(grads_f, grads_c):
@@ -581,11 +617,11 @@ def test_layer_norm_constant_block_has_finite_gradients(rng_np):
     probe = rng_np.normal(size=(3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        probed(layer_norm(x, *identity_affine(4), eps=1e-5), probe).backward()
-    assert np.all(np.isfinite(x.grad))
+        grad = probed(layer_norm(x, *identity_affine(4), eps=1e-5), probe).backward()[x]
+    assert np.all(np.isfinite(grad))
     # with std 0 the block is divided by eps alone, minus its mean
     g = probe / 1e-5
-    np.testing.assert_allclose(x.grad, g - g.mean(), rtol=1e-12)
+    np.testing.assert_allclose(grad, g - g.mean(), rtol=1e-12)
 
 
 @pytest.mark.parametrize("which", range(3))
@@ -652,8 +688,7 @@ def loss_and_grad(loss_fn, leaf_values, target, transposed):
     leaf = Tensor(leaf_values.copy(), requires_grad=True)
     pred = transpose(leaf, (0, 2, 1)) if transposed else leaf
     loss = loss_fn(pred, target)
-    loss.backward()
-    return loss.data, leaf.grad
+    return loss.data, loss.backward()[leaf]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -695,3 +730,17 @@ def test_operators_take_only_tensors():
         x + 1.0
     with pytest.raises(TypeError):
         x @ 1.0
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.matmul], ids=["add", "matmul"])
+def test_ndarray_left_operand_is_refused_without_walking_the_tensor(op, monkeypatch):
+    """numpy must hand the operation back at once, not index the Tensor element by element."""
+    import patchformer.tensor as core
+
+    calls = []
+    original = core.take
+    monkeypatch.setattr(core, "take", lambda a, index: calls.append(index) or original(a, index))
+    x = Tensor(np.ones((3, 3)))
+    with pytest.raises(TypeError):
+        op(np.ones((3, 3)), x)
+    assert calls == []

@@ -52,8 +52,8 @@ def test_metric_oracles():
 
 def test_mse_loss_gradient_is_two_diff_over_n():
     pred = Tensor(np.array([2.0, 4.0, 6.0]), requires_grad=True)
-    mse_loss(pred, np.array([1.0, 2.0, 3.0])).backward()
-    np.testing.assert_allclose(pred.grad, 2.0 * np.array([1.0, 2.0, 3.0]) / 3.0, atol=1e-15)
+    grad = mse_loss(pred, np.array([1.0, 2.0, 3.0])).backward()[pred]
+    np.testing.assert_allclose(grad, 2.0 * np.array([1.0, 2.0, 3.0]) / 3.0, atol=1e-15)
 
 
 def test_mse_loss_rejects_shape_mismatch():
@@ -68,8 +68,7 @@ def test_adam_first_step_moves_by_lr():
     store = ParameterStore(seed=0)
     theta = store.add("theta", np.array([1.0]))
     state = AdamState.init(store, lr=0.1)
-    theta.grad = np.array([1.0])
-    adam_step(store, state)
+    adam_step(store, state, {theta: np.array([1.0])})
     assert abs(theta.data[0] - 0.9) < 1e-8
 
 
@@ -83,8 +82,7 @@ def test_adam_hundred_step_trajectory_matches_reference(rng_np):
     state = AdamState.init(store, lr=lr)
     ours = []
     for g in grads:
-        theta.grad = np.array([g])
-        adam_step(store, state)
+        adam_step(store, state, {theta: np.array([g])})
         ours.append(theta.data[0])
 
     x, m, v = 0.5, 0.0, 0.0
@@ -105,26 +103,30 @@ def test_adam_zero_gradient_keeps_parameter():
     theta = store.add("theta", np.array([2.0, -3.0]))
     state = AdamState.init(store, lr=0.5)
     for _ in range(3):
-        theta.grad = np.zeros(2)
-        adam_step(store, state)
+        adam_step(store, state, {theta: np.zeros(2)})
     np.testing.assert_array_equal(theta.data, [2.0, -3.0])
 
 
 def test_adam_requires_gradients():
     store = ParameterStore(seed=0)
-    store.add("theta", np.array([1.0]))
+    theta = store.add("theta", np.array([1.0]))
+    store.add("other", np.array([1.0]))
     state = AdamState.init(store, lr=0.1)
-    with pytest.raises(TrainingError, match="theta"):
-        adam_step(store, state)
+    with pytest.raises(TrainingError, match="other"):
+        adam_step(store, state, {theta: np.array([1.0])})
 
 
-def test_adam_clears_gradients_after_step():
+def test_adam_step_leaves_the_gradient_map_unchanged():
     store = ParameterStore(seed=0)
     theta = store.add("theta", np.array([1.0]))
     state = AdamState.init(store, lr=0.1)
-    theta.grad = np.array([1.0])
-    adam_step(store, state)
-    assert theta.grad is None
+    grad = np.array([1.0])
+    grads = {theta: grad}
+    adam_step(store, state, grads)
+    assert list(grads) == [theta] and grads[theta] is grad and grad.tolist() == [1.0]
+    # the same map drives a second, identical-gradient step
+    adam_step(store, state, grads)
+    assert state.step_count == 2 and theta.data[0] < 0.9
 
 
 def test_adam_rejects_negative_lr():
