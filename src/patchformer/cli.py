@@ -211,10 +211,6 @@ class ResultsTable:
         key = (str(dataset), str(model), int(pred_len), str(mode))
         self._rows[key] = (float(report.mse), float(report.mae))
 
-    @property
-    def n_rows(self) -> int:
-        return len(self._rows)
-
     def rows(self) -> list[tuple[str, str, int, str, float, float]]:
         return [key + value for key, value in sorted(self._rows.items())]
 
@@ -226,26 +222,6 @@ class ResultsTable:
             for row in self.rows():
                 writer.writerow([row[0], row[1], row[2], row[3], repr(row[4]), repr(row[5])])
         return path
-
-    @classmethod
-    def from_csv(cls, path) -> "ResultsTable":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"results file not found: {path}")
-        table = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(cls.COLUMNS):
-                raise DataError(f"{path}: unexpected results header {header}")
-            for row in reader:
-                if not row:
-                    continue
-                table._rows[(row[0], row[1], int(row[2]), row[3])] = (
-                    float(row[4]),
-                    float(row[5]),
-                )
-        return table
 
     def write(self, out_dir) -> None:
         """Write ``results.csv`` and its rendered twin ``results.txt`` into ``out_dir``."""
@@ -488,13 +464,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     f"checkpoint {checkpoint_path} was trained with "
                     f"{field_name}={have}, not {wanted}"
                 )
-        table = source
-        if bundle.channel_names is not None:
-            table = table.select_channels(bundle.channel_names)
-        scaler = bundle.scaler()
+        table = source.select_channels(bundle.channel_names)
         min_len = model.cfg.seq_len + model.cfg.pred_len
         _, _, test_raw = chronological_split(table, SPLIT_RATIOS, min_len=min_len)
-        test = scaler.transform_table(test_raw)
+        test = bundle.scaler().transform_table(test_raw)
         report = evaluate(model, test)
         baseline = repeat_last_report(test, model.cfg.seq_len, model.cfg.pred_len)
         results.add(name, "patchformer", model.cfg.pred_len, cfg.mode, report)
@@ -560,7 +533,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     bundle = load_checkpoint(args.checkpoint)
     model = bundle.model
     window = load_csv(args.window)
-    if bundle.channel_names is not None and window.channel_names != bundle.channel_names:
+    if window.channel_names != bundle.channel_names:
         raise ConfigError(
             f"window channels {window.channel_names} do not match the "
             f"checkpoint's {bundle.channel_names}"

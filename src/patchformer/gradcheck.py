@@ -49,10 +49,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return self.max_rel_err <= self.tol
 
-    @property
-    def worst(self) -> ParamCheck | None:
-        return max(self.checks, key=lambda c: c.max_rel_err, default=None)
-
     def format_lines(self) -> list[str]:
         width = max((len(c.name) for c in self.checks), default=4)
         lines = [

@@ -23,6 +23,11 @@ series rows, whose activations stay in cache.  Rows never mix, so the result
 is the one-pass result up to the GEMM kernel a BLAS picks for a block's row
 count: bitwise at the benchmark shapes, otherwise equal to rounding.  Grad-mode passes run all rows at once, so
 training records one graph per step.
+
+A checkpoint holds the weights, the model config, the z-scaler fitted on the
+training split and the channel names, since a model forecasts only the
+scaled channels it was trained on.  ``load_checkpoint`` refuses a file that
+lacks any of them.
 """
 
 from __future__ import annotations
@@ -356,31 +361,32 @@ def _as_array(x, caller: str) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
-    """A model restored from disk plus the preprocessing state saved with it."""
+    """A model restored from disk plus the scaler and channel names saved with it."""
 
     model: PatchformerModel
-    scaler_mean: np.ndarray | None
-    scaler_std: np.ndarray | None
-    channel_names: list[str] | None
+    scaler_mean: np.ndarray
+    scaler_std: np.ndarray
+    channel_names: list[str]
     extra: dict
-    path: Path
 
     def scaler(self) -> Scaler:
-        """The z-scaler saved with the weights; ``ConfigError`` when there is none."""
-        if self.scaler_mean is None:
-            raise ConfigError(f"checkpoint {self.path} carries no scaler state")
+        """The z-scaler fitted on the training split the weights were trained on."""
         return Scaler(mean=self.scaler_mean, std=self.scaler_std)
 
 
 def _check_channel_state(path, n_channels, channel_names, scaler_mean, scaler_std) -> None:
-    """Channel names and scaler arrays must match the model's channel count."""
-    if channel_names is not None and len(channel_names) != n_channels:
+    """Channel names must be strings, and names and scaler arrays one per channel."""
+    if not isinstance(channel_names, list) or not all(
+        isinstance(name, str) for name in channel_names
+    ):
+        raise DataError(f"{path}: channel names must be a list of strings, got {channel_names!r}")
+    if len(channel_names) != n_channels:
         raise DataError(
             f"{path}: {len(channel_names)} channel names for a "
             f"{n_channels}-channel model"
         )
     for label, stat in (("mean", scaler_mean), ("std", scaler_std)):
-        if stat is not None and np.shape(stat) != (n_channels,):
+        if np.shape(stat) != (n_channels,):
             raise DataError(
                 f"{path}: scaler {label} has shape {np.shape(stat)}, expected "
                 f"({n_channels},) for a {n_channels}-channel model"
@@ -390,18 +396,16 @@ def _check_channel_state(path, n_channels, channel_names, scaler_mean, scaler_st
 def save_checkpoint(
     model: PatchformerModel,
     path,
-    scaler_mean: np.ndarray | None = None,
-    scaler_std: np.ndarray | None = None,
-    channel_names: list[str] | None = None,
+    scaler_mean: np.ndarray,
+    scaler_std: np.ndarray,
+    channel_names: list[str],
     extra: dict | None = None,
 ) -> Path:
-    """Write weights, config, and scaler state to one ``.npz`` container.
+    """Write weights, config, scaler state and channel names to one ``.npz`` container.
 
     Channel names and scaler arrays that do not match the model's channel
     count raise ``DataError`` here, the same check ``load_checkpoint`` makes.
     """
-    if (scaler_mean is None) != (scaler_std is None):
-        raise ConfigError("scaler_mean and scaler_std must be saved together")
     path = Path(path)
     if path.suffix != ".npz":
         path = Path(str(path) + ".npz")
@@ -409,16 +413,15 @@ def save_checkpoint(
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.cfg),
-        "channel_names": list(channel_names) if channel_names is not None else None,
+        "channel_names": channel_names,
         "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {
         f"param.{name}": tensor.data for name, tensor in model.store.items()
     }
     arrays["meta"] = np.array(json.dumps(meta))
-    if scaler_mean is not None:
-        arrays["scaler.mean"] = np.asarray(scaler_mean, dtype=np.float64)
-        arrays["scaler.std"] = np.asarray(scaler_std, dtype=np.float64)
+    arrays["scaler.mean"] = np.asarray(scaler_mean, dtype=np.float64)
+    arrays["scaler.std"] = np.asarray(scaler_std, dtype=np.float64)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     return path
@@ -451,7 +454,11 @@ def _config_from_meta(path: Path, config: dict) -> ModelConfig:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a model bit for bit from ``save_checkpoint`` output, drawing nothing."""
+    """Rebuild a model bit for bit from ``save_checkpoint`` output, drawing nothing.
+
+    A file without both scaler arrays, or without one string name per
+    channel, is a ``DataError`` naming it.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint file not found: {path}")
@@ -466,8 +473,10 @@ def load_checkpoint(path) -> Checkpoint:
         state = {
             key[len("param.") :]: bundle[key] for key in bundle.files if key.startswith("param.")
         }
-        scaler_mean = bundle["scaler.mean"] if "scaler.mean" in bundle else None
-        scaler_std = bundle["scaler.std"] if "scaler.std" in bundle else None
+        if "scaler.mean" not in bundle or "scaler.std" not in bundle:
+            raise DataError(f"{path}: no scaler state (needs scaler.mean and scaler.std)")
+        scaler_mean = bundle["scaler.mean"]
+        scaler_std = bundle["scaler.std"]
     cfg = _config_from_meta(path, dict(meta["config"]))
     channel_names = meta.get("channel_names")
     _check_channel_state(path, cfg.n_channels, channel_names, scaler_mean, scaler_std)
@@ -481,5 +490,4 @@ def load_checkpoint(path) -> Checkpoint:
         scaler_std=scaler_std,
         channel_names=channel_names,
         extra=meta.get("extra", {}),
-        path=path,
     )

@@ -96,7 +96,7 @@ class Tensor:
         self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._vjp: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
         self.op = ""
 
     # -- bookkeeping ------------------------------------------------------
@@ -122,11 +122,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         tag = f", op={self.op!r}" if self.op else ""
         return f"Tensor(shape={self.shape}{flag}{tag})"
-
-    def __len__(self) -> int:
-        if self.ndim == 0:
-            raise ShapeError("len() of a 0-d tensor")
-        return self.shape[0]
 
     # -- backward pass ----------------------------------------------------
 
@@ -167,7 +162,7 @@ class Tensor:
             if node._vjp is None:
                 continue
             for parent, piece in zip(node._parents, node._vjp(grad)):
-                if piece is None or not (parent.requires_grad or parent._vjp is not None):
+                if not (parent.requires_grad or parent._vjp is not None):
                     continue
                 key = id(parent)
                 if key in flowing:
@@ -181,18 +176,21 @@ class Tensor:
     def __add__(self, other):
         return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
+    def __radd__(self, other):
+        # Only a non-Tensor left operand gets here.  Returning NotImplemented
+        # would let an ndarray fall back to sequence concatenation.
+        raise TypeError(f"unsupported operand types for +: {type(other).__name__} and Tensor")
+
     def __matmul__(self, other):
         return matmul(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __getitem__(self, index):
         return take(self, index)
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         return reshape(self, shape)
 
-    def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
+    def transpose(self, axes: tuple[int, ...]) -> "Tensor":
         return transpose(self, axes)
 
     def relu(self) -> "Tensor":
@@ -291,9 +289,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(data, (a,), vjp, "reshape")
 
 
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.transpose(a.data, axes)
-    inverse = None if axes is None else tuple(np.argsort(axes))
+    inverse = tuple(np.argsort(axes))
 
     def vjp(g):
         return (np.transpose(g, inverse),)

@@ -10,7 +10,9 @@ forecasts themselves may move in the last bits with the batch size, where a
 BLAS picks another GEMM kernel for another row count; at the benchmark shapes
 they are bitwise.
 ``train`` shuffles the windows every epoch from a stream seeded by
-``TrainConfig.seed``, at the dropout rate of ``ModelConfig.dropout``.
+``TrainConfig.seed``, at the dropout rate of ``ModelConfig.dropout``, scores
+the validation table after every epoch, and keeps the weights of the epoch
+with the lowest validation MSE.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ class TrainConfig:
 
 @dataclass
 class TraceRow:
-    """Per-epoch losses; validation fields are NaN when no val table is given."""
+    """Per-epoch training and validation losses."""
 
     epoch: int
     train_mse: float
@@ -223,14 +225,14 @@ class TrainResult:
 def train(
     model: PatchformerModel,
     train_table: TimeSeriesTable,
-    val_table: TimeSeriesTable | None,
+    val_table: TimeSeriesTable,
     cfg: TrainConfig,
 ) -> TrainResult:
     """Adam over shuffled minibatches with per-epoch validation tracking.
 
-    The best snapshot is the one with the lowest validation MSE (train MSE
-    when no validation table is given).  The model is left holding its
-    final-epoch weights; build the best snapshot from ``best_state``.
+    The best snapshot is the one with the lowest validation MSE.  The model
+    is left holding its final-epoch weights; build the best snapshot from
+    ``best_state``.
     """
     windows = make_windows(train_table, model.cfg.seq_len, model.cfg.pred_len)
     adam = AdamState.init(model.store, cfg.lr)
@@ -239,7 +241,7 @@ def train(
 
     trace: list[TraceRow] = []
     best_epoch = -1
-    best_score = math.inf
+    best_val_mse = math.inf
     best_state: dict[str, np.ndarray] = {}
     n = windows.shape[0]
     seq_len = model.cfg.seq_len
@@ -266,18 +268,10 @@ def train(
             sum_abs += float(np.abs(pred.data - y).sum())
             seen += weight
 
-        train_mse = sum_sq / seen
-        train_mae = sum_abs / seen
-        if val_table is not None:
-            val = evaluate(model, val_table)
-            val_mse, val_mae = val.mse, val.mae
-            score = val_mse
-        else:
-            val_mse = val_mae = math.nan
-            score = train_mse
-        trace.append(TraceRow(epoch, train_mse, train_mae, val_mse, val_mae))
-        if score < best_score:
-            best_score = score
+        val = evaluate(model, val_table)
+        trace.append(TraceRow(epoch, sum_sq / seen, sum_abs / seen, val.mse, val.mae))
+        if val.mse < best_val_mse:
+            best_val_mse = val.mse
             best_epoch = epoch
             best_state = model.store.state_dict()
 
@@ -292,6 +286,5 @@ def write_loss_trace(trace: list[TraceRow], path) -> Path:
         writer.writerow(["epoch", "split", "mse", "mae"])
         for row in trace:
             writer.writerow([row.epoch, "train", repr(row.train_mse), repr(row.train_mae)])
-            if math.isfinite(row.val_mse) or math.isfinite(row.val_mae):
-                writer.writerow([row.epoch, "val", repr(row.val_mse), repr(row.val_mae)])
+            writer.writerow([row.epoch, "val", repr(row.val_mse), repr(row.val_mae)])
     return path

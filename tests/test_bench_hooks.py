@@ -4,7 +4,8 @@
 (module globals and class attributes).  Deleting or renaming one of them, or
 changing a signature its wrapper relies on, breaks only traced benchmark
 runs, so these tests install the tracer and run a tiny training step and an
-evaluation forecast under it, in well under a second.
+evaluation forecast under it, in well under a second.  The last test runs
+every workload once at its self-test size, as `bench/run.py` calls it.
 """
 
 import importlib
@@ -90,3 +91,17 @@ def test_bench_tracer_records_a_blocked_evaluation(monkeypatch):
     series = [i for i, name in enumerate(names) if name == "model.forward_series"]
     layers = [i for i, name in enumerate(names) if name == "model.encoder_layer"]
     assert {tracer.parents[i] for i in layers} == set(series)
+
+
+def test_every_bench_workload_runs_once_at_the_tiny_size(monkeypatch, tmp_path):
+    """Each workload calls the library as the benchmark does, and all its checks pass."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class(workloads.SIZES["tiny"])
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload.make_inputs(0, workdir)
+        checks = workloads.Checks()
+        workload.timed(workload.setup(), 0, checks)
+        assert checks.attempted > 0 and checks.failed == 0, (name, checks.failures)

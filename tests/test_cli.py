@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
 import argparse
+import csv
 import json
 import shutil
 from dataclasses import fields
@@ -129,21 +130,28 @@ def report(mse, mae):
     return MetricReport(mse=mse, mae=mae, n_windows=1, n_points=1)
 
 
+def read_results(path) -> list[tuple[str, str, int, str, float, float]]:
+    """The rows of a ``results.csv``, typed as ``ResultsTable.rows`` gives them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *body = csv.reader(fh)
+    assert tuple(header) == ResultsTable.COLUMNS
+    return [(d, m, int(o), mode, float(mse), float(mae)) for d, m, o, mode, mse, mae in body]
+
+
 def test_results_table_round_trip(tmp_path):
     table = ResultsTable()
     table.add("synthetic", "patchformer", 96, "multivariate", report(1 / 3, 0.25))
     table.add("synthetic", "repeat_last", 96, "multivariate", report(2.0, 1.0))
-    path = table.to_csv(tmp_path / "results.csv")
-    loaded = ResultsTable.from_csv(path)
-    assert loaded.rows() == table.rows()
-    assert loaded.rows()[0][4] == 1 / 3  # repr round-trips exactly
+    loaded = read_results(table.to_csv(tmp_path / "results.csv"))
+    assert loaded == table.rows()
+    assert loaded[0][4] == 1 / 3  # repr round-trips exactly
 
 
 def test_results_table_key_is_unique():
     table = ResultsTable()
     table.add("d", "m", 96, "multivariate", report(1.0, 1.0))
     table.add("d", "m", 96, "multivariate", report(2.0, 2.0))
-    assert table.n_rows == 1
+    assert len(table.rows()) == 1
     assert table.rows()[0][4] == 2.0
 
 
@@ -164,15 +172,6 @@ def test_results_table_render_alignment():
     assert lines[0].startswith("dataset")
     assert set(lines[1]) <= {"-", " "}
     assert "1.500000" in lines[2]
-
-
-def test_results_table_read_errors(tmp_path):
-    with pytest.raises(DataError):
-        ResultsTable.from_csv(tmp_path / "missing.csv")
-    bad = tmp_path / "bad.csv"
-    bad.write_text("wrong,header\n")
-    with pytest.raises(DataError):
-        ResultsTable.from_csv(bad)
 
 
 # -- train artifacts ----------------------------------------------------------------
@@ -204,8 +203,7 @@ def test_loss_trace_has_train_and_val_rows(cli_run):
 
 
 def test_results_csv_contains_model_and_baseline(cli_run):
-    table = ResultsTable.from_csv(cli_run["run"] / "results.csv")
-    models = {row[1] for row in table.rows()}
+    models = {row[1] for row in read_results(cli_run["run"] / "results.csv")}
     assert models == {"patchformer", "repeat_last"}
 
 
@@ -239,9 +237,7 @@ def test_evaluate_reproduces_training_metrics(cli_run, tmp_path):
         "--data", str(cli_run["data"]), "--out-dir", str(out),
     ])
     assert code == 0
-    evaluated = ResultsTable.from_csv(out / "results.csv")
-    trained = ResultsTable.from_csv(cli_run["run"] / "results.csv")
-    assert evaluated.rows() == trained.rows()
+    assert read_results(out / "results.csv") == read_results(cli_run["run"] / "results.csv")
 
 
 def test_evaluate_accepts_multiple_checkpoints(cli_run, tmp_path):
@@ -478,8 +474,7 @@ def test_cli_sweep_lookback(tmp_path):
         "--out-dir", str(out),
     ])
     assert code == 0
-    table = ResultsTable.from_csv(out / "results.csv")
-    models = {row[1] for row in table.rows()}
+    models = {row[1] for row in read_results(out / "results.csv")}
     assert models == {
         "patchformer_I16", "patchformer_I32", "repeat_last_I16", "repeat_last_I32",
     }
@@ -591,10 +586,13 @@ def _head_as_text(arrays):
     arrays["param.head.weight"] = arrays["param.head.weight"].astype(str)
 
 
-def _negative_seed(arrays):
-    meta = json.loads(str(arrays["meta"]))
-    meta["config"]["seed"] = -1
-    arrays["meta"] = np.array(json.dumps(meta))
+def _edit_meta(edit):
+    def edit_arrays(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+
+    return edit_arrays
 
 
 @pytest.mark.parametrize(
@@ -604,9 +602,10 @@ def _negative_seed(arrays):
         lambda arrays: arrays.update({"param.extra": np.zeros(3)}),
         lambda arrays: arrays.update({"param.head.weight": np.zeros((2, 2))}),
         _head_as_text,
-        _negative_seed,
+        _edit_meta(lambda meta: meta["config"].update(seed=-1)),
+        _edit_meta(lambda meta: meta["config"].update(d_model=float("nan"))),
     ],
-    ids=["missing", "surplus", "wrong-shape", "text", "negative-seed"],
+    ids=["missing", "surplus", "wrong-shape", "text", "negative-seed", "nan-d-model"],
 )
 def test_forecast_reports_an_unbuildable_checkpoint_as_data_error(
     edit, cli_run, tmp_path, capsys
@@ -645,3 +644,29 @@ def test_exit_code_divergence(tmp_path, cli_run):
     assert code == 3
     # the manifest lands before training starts, so failed runs stay inspectable
     assert (tmp_path / "div" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda arrays: (arrays.pop("scaler.mean"), arrays.pop("scaler.std")),
+        lambda arrays: arrays.pop("scaler.std"),
+        _edit_meta(lambda meta: meta.pop("channel_names")),
+        _edit_meta(lambda meta: meta.update(channel_names=["electricity", "gas"])),
+    ],
+    ids=["no-scaler", "no-scaler-std", "no-channel-names", "two-channel-names"],
+)
+def test_a_checkpoint_without_its_scaler_or_channel_names_is_a_data_error(
+    command, edit, cli_run, tmp_path, capsys
+):
+    ckpt = tmp_path / "edited.npz"
+    with np.load(cli_run["run"] / "model_best.npz") as bundle:
+        arrays = dict(bundle)
+    edit(arrays)
+    np.savez(ckpt, **arrays)
+    source = ["--data", str(cli_run["data"]), "--out-dir", str(tmp_path / "eval")]
+    if command == "forecast":
+        source = ["--window", str(cli_run["data"]), "--out-file", str(tmp_path / "f.csv")]
+    assert main([command, "--checkpoint", str(ckpt), *source]) == 2
+    assert f"data error: {ckpt}: " in capsys.readouterr().err

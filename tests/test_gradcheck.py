@@ -39,7 +39,7 @@ def test_corrupted_gradient_is_caught():
     w = dict(store.items())["w"]
     report = finite_diff_check(lambda: sum_of_squares(w), store, corrupt="w")
     assert not report.passed
-    assert report.worst.name == "w"
+    assert [c.name for c in report.checks if c.max_rel_err > report.tol] == ["w"]
 
 
 def test_nondeterministic_loss_is_rejected():
@@ -70,7 +70,6 @@ def test_report_lines_name_every_parameter():
     assert any("a" in line for line in lines)
     assert any("b" in line for line in lines)
     assert lines[-1].startswith("PASS")
-    assert report.worst is not None
 
 
 def test_unknown_corrupt_name_is_rejected():

@@ -7,7 +7,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -442,6 +442,31 @@ def test_whole_model_gradcheck(tiny_model, rng_np):
 # -- checkpointing ---------------------------------------------------------------
 
 
+def save_fitted(model, path, **overrides):
+    """``save_checkpoint`` with an identity scaler and channel names that fit ``model``."""
+    n = model.cfg.n_channels
+    saved = dict(
+        scaler_mean=np.zeros(n), scaler_std=np.ones(n),
+        channel_names=[f"c{i}" for i in range(n)],
+    )
+    return save_checkpoint(model, path, **{**saved, **overrides})
+
+
+def rewrite_checkpoint(path, edit) -> None:
+    """Apply ``edit(arrays, meta)`` to a saved checkpoint's arrays and JSON meta, in place."""
+    with np.load(path) as bundle:
+        arrays = dict(bundle)
+    meta = json.loads(str(arrays["meta"]))
+    edit(arrays, meta)
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def rewrite_meta(path, edit) -> None:
+    """Apply ``edit`` to the JSON meta entry of a saved checkpoint, in place."""
+    rewrite_checkpoint(path, lambda arrays, meta: edit(meta))
+
+
 def test_checkpoint_round_trip_bit_exact(tiny_model, tmp_path, rng_np):
     x = rng_np.normal(size=(16, 2))
     before = tiny_model.forward(x)
@@ -466,31 +491,24 @@ def test_checkpoint_round_trip_bit_exact(tiny_model, tmp_path, rng_np):
 
 
 def test_checkpoint_appends_suffix(tiny_model, tmp_path):
-    path = save_checkpoint(tiny_model, tmp_path / "weights")
+    path = save_fitted(tiny_model, tmp_path / "weights")
     assert path.name == "weights.npz"
-    assert load_checkpoint(path).scaler_mean is None
+    assert load_checkpoint(path).channel_names == ["c0", "c1"]
 
 
 def test_checkpoint_scaler_restores_or_refuses(tiny_model, tmp_path):
-    path = save_checkpoint(
+    path = save_fitted(
         tiny_model, tmp_path / "model.npz",
         scaler_mean=np.array([1.0, 2.0]), scaler_std=np.array([3.0, 4.0]),
     )
     scaler = load_checkpoint(path).scaler()
     np.testing.assert_array_equal(scaler.inverse(np.zeros((1, 2))), [[1.0, 2.0]])
-    bare = save_checkpoint(tiny_model, tmp_path / "bare.npz")
-    with pytest.raises(ConfigError, match="bare.npz carries no scaler state"):
-        load_checkpoint(bare).scaler()
-
-
-def rewrite_meta(path, edit) -> None:
-    """Apply ``edit`` to the JSON meta entry of a saved checkpoint, in place."""
-    with np.load(path) as bundle:
-        arrays = dict(bundle)
-    meta = json.loads(str(arrays["meta"]))
-    edit(meta)
-    arrays["meta"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
+    # bare weights and config, with no scaler
+    bare = save_fitted(tiny_model, tmp_path / "bare.npz")
+    for key in ("scaler.mean", "scaler.std"):
+        rewrite_checkpoint(bare, lambda arrays, meta: arrays.pop(key))
+    with pytest.raises(DataError, match=re.escape(f"{bare}: no scaler state")):
+        load_checkpoint(bare)
 
 
 RETIRED_KEYS = pytest.mark.parametrize("key", ["d_v", "d_k"])
@@ -499,7 +517,7 @@ RETIRED_KEYS = pytest.mark.parametrize("key", ["d_v", "d_k"])
 @RETIRED_KEYS
 def test_load_checkpoint_reads_null_retired_key(key, tiny_model, tmp_path, rng_np):
     """Format-1 files written while configs had ``d_v`` and ``d_k`` fields store them as null."""
-    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
     rewrite_meta(path, lambda meta: meta["config"].update({key: None}))
     x = rng_np.normal(size=(16, 2))
     np.testing.assert_array_equal(load_checkpoint(path).model.forward(x), tiny_model.forward(x))
@@ -507,7 +525,7 @@ def test_load_checkpoint_reads_null_retired_key(key, tiny_model, tmp_path, rng_n
 
 def test_load_checkpoint_reads_retired_layer_norm_eps(tiny_model, tmp_path, rng_np):
     """Format-1 files written while configs had a ``layer_norm_eps`` field store it as 1e-05."""
-    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
     rewrite_meta(path, lambda meta: meta["config"].update(layer_norm_eps=1e-05))
     x = rng_np.normal(size=(16, 2))
     np.testing.assert_array_equal(load_checkpoint(path).model.forward(x), tiny_model.forward(x))
@@ -515,7 +533,7 @@ def test_load_checkpoint_reads_retired_layer_norm_eps(tiny_model, tmp_path, rng_
 
 @RETIRED_KEYS
 def test_load_checkpoint_rejects_narrow_retired_key(key, tiny_model, tmp_path):
-    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
     rewrite_meta(path, lambda meta: meta["config"].update({key: 4}))
     with pytest.raises(DataError, match=f"{key}=4"):
         load_checkpoint(path)
@@ -542,15 +560,58 @@ def test_load_checkpoint_rejects_narrow_retired_key(key, tiny_model, tmp_path):
     ],
 )
 def test_load_checkpoint_rejects_bad_config_entry(edit, named, tiny_model, tmp_path):
-    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
     rewrite_meta(path, lambda meta: edit(meta["config"]))
     with pytest.raises(DataError, match=re.escape(named)):
         load_checkpoint(path)
 
 
 def test_checkpoint_scaler_must_be_paired(tiny_model, tmp_path):
-    with pytest.raises(ConfigError):
-        save_checkpoint(tiny_model, tmp_path / "model", scaler_mean=np.array([1.0]))
+    for key in ("scaler.mean", "scaler.std"):
+        path = save_fitted(tiny_model, tmp_path / "model.npz")
+        rewrite_checkpoint(path, lambda arrays, meta: arrays.pop(key))
+        with pytest.raises(DataError, match=re.escape(f"{path}: no scaler state")):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: meta.pop("channel_names"),
+        lambda meta: meta.update(channel_names=None),
+        lambda meta: meta.update(channel_names="ab"),
+        lambda meta: meta.update(channel_names=[1, 2]),
+        lambda meta: meta.update(channel_names={"a": 0, "b": 1}),
+    ],
+    ids=["missing", "null", "string", "numbers", "mapping"],
+)
+def test_load_checkpoint_requires_a_list_of_channel_names(edit, tiny_model, tmp_path):
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
+    rewrite_meta(path, edit)
+    with pytest.raises(DataError, match=re.escape(f"{path}: channel names must be a list")):
+        load_checkpoint(path)
+
+
+# Every ModelConfig field is a number; zero is a valid dropout and seed.
+HOSTILE_NUMBERS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0, "-1": -1}
+HOSTILE_CONFIG_ENTRIES = [
+    (f.name, label)
+    for f in fields(ModelConfig)
+    for label in HOSTILE_NUMBERS
+    if (f.name, label) not in {("dropout", "0"), ("seed", "0")}
+]
+
+
+@pytest.mark.parametrize(
+    "key, label", HOSTILE_CONFIG_ENTRIES, ids=[f"{k}={v}" for k, v in HOSTILE_CONFIG_ENTRIES]
+)
+def test_load_checkpoint_refuses_nan_inf_zero_and_negative_config_values(
+    key, label, tiny_model, tmp_path
+):
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
+    rewrite_meta(path, lambda meta: meta["config"].update({key: HOSTILE_NUMBERS[label]}))
+    with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+        load_checkpoint(path)
 
 
 def test_load_checkpoint_missing_file(tmp_path):
@@ -579,23 +640,21 @@ CHANNEL_MISMATCHES = pytest.mark.parametrize(
 def test_save_checkpoint_rejects_channel_count_mismatch(tiny_model, tmp_path, saved, message):
     path = tmp_path / "model.npz"
     with pytest.raises(DataError, match=message):
-        save_checkpoint(tiny_model, path, **saved)
+        save_fitted(tiny_model, path, **saved)
     assert not path.exists()
 
 
 @CHANNEL_MISMATCHES
 def test_load_checkpoint_rejects_channel_count_mismatch(tiny_model, tmp_path, saved, message):
     # save_checkpoint refuses these, so patch them into a valid file.
-    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
-    with np.load(path) as bundle:
-        arrays = dict(bundle)
-    meta = json.loads(str(arrays["meta"]))
-    meta["channel_names"] = saved.get("channel_names")
-    arrays["meta"] = np.array(json.dumps(meta))
-    if "scaler_mean" in saved:
-        arrays["scaler.mean"] = saved["scaler_mean"]
-        arrays["scaler.std"] = saved["scaler_std"]
-    np.savez(path, **arrays)
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
+
+    def patch(arrays, meta):
+        meta["channel_names"] = saved.get("channel_names", meta["channel_names"])
+        arrays["scaler.mean"] = saved.get("scaler_mean", arrays["scaler.mean"])
+        arrays["scaler.std"] = saved.get("scaler_std", arrays["scaler.std"])
+
+    rewrite_checkpoint(path, patch)
     with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
@@ -626,7 +685,7 @@ def test_build_from_state_keeps_no_given_array(tiny_model):
 def test_load_checkpoint_peak_holds_one_copy_of_the_weights(tmp_path):
     """Each loaded array is dropped as its owned copy is made, so they never all coexist."""
     cfg = ModelConfig(seq_len=96, pred_len=96, n_channels=1, d_model=128)
-    path = save_checkpoint(PatchformerModel.build(cfg), tmp_path / "model.npz")
+    path = save_fitted(PatchformerModel.build(cfg), tmp_path / "model.npz")
     tracemalloc.start()
     try:
         model = load_checkpoint(path).model
@@ -638,7 +697,7 @@ def test_load_checkpoint_peak_holds_one_copy_of_the_weights(tmp_path):
 
 
 def test_load_checkpoint_draws_nothing(tiny_model, tmp_path, rng_np, monkeypatch):
-    path = save_checkpoint(tiny_model, tmp_path / "model.npz")
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_checkpoint drew a random number")
@@ -652,7 +711,7 @@ def test_load_checkpoint_draws_nothing(tiny_model, tmp_path, rng_np, monkeypatch
 
 def test_loaded_model_memoises_every_attention_product(tiny_model, tmp_path, rng_np):
     """Loaded arrays are copied into owned, read-only ones, which the memo accepts."""
-    model = load_checkpoint(save_checkpoint(tiny_model, tmp_path / "model.npz")).model
+    model = load_checkpoint(save_fitted(tiny_model, tmp_path / "model.npz")).model
     for _, tensor in model.store.items():
         assert tensor.data.flags.owndata and not tensor.data.flags.writeable
     model.forward(rng_np.normal(size=(model.cfg.seq_len, model.cfg.n_channels)))

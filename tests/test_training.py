@@ -240,10 +240,9 @@ def test_train_same_seed_is_bitwise_reproducible():
     for _ in range(2):
         model, table = tiny_trained_setup(t=96, seed=4)
         cfg = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=4)
-        results.append(train(model, table, None, cfg))
+        results.append(train(model, table, table, cfg))
         finals.append(model.store.state_dict())
-    trace_a, trace_b = (r.trace for r in results)
-    assert [row.train_mse for row in trace_a] == [row.train_mse for row in trace_b]
+    assert results[0].trace == results[1].trace
     for name in finals[0]:
         np.testing.assert_array_equal(finals[0][name], finals[1][name])
 
@@ -263,7 +262,7 @@ def test_train_zero_lr_keeps_weights_and_metrics():
 def test_train_reduces_loss_on_sine():
     model, table = tiny_trained_setup(t=96)
     cfg = TrainConfig(epochs=10, batch_size=64, lr=1e-3, seed=0)
-    result = train(model, table, None, cfg)
+    result = train(model, table, table, cfg)
     assert result.final_train_mse < 0.5 * result.initial_train_mse
 
 
@@ -284,7 +283,7 @@ def test_train_divergence_is_reported_with_location():
     model, table = tiny_trained_setup(t=96)
     cfg = TrainConfig(epochs=3, batch_size=8, lr=1e100, seed=0)
     with pytest.raises(TrainingError, match="diverged at epoch 0 batch"):
-        train(model, table, None, cfg)
+        train(model, table, table, cfg)
 
 
 def test_train_config_validation():
@@ -310,16 +309,6 @@ def test_write_loss_trace_format(tmp_path):
     assert all(np.isfinite(float(r[2])) for r in body)
 
 
-def test_write_loss_trace_skips_missing_validation(tmp_path):
-    model, table = tiny_trained_setup(t=96)
-    cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=0)
-    result = train(model, table, None, cfg)
-    path = write_loss_trace(result.trace, tmp_path / "trace.csv")
-    with open(path, newline="") as fh:
-        body = list(csv.reader(fh))[1:]
-    assert [r[1] for r in body] == ["train", "train"]
-
-
 # -- optimisation invariant --------------------------------------------------------
 
 
@@ -341,7 +330,9 @@ def overfit_trace(seed: int, epochs: int, lr: float) -> list[float]:
     )
     model = PatchformerModel.build(cfg)
     table = sine_table(48, 1)
-    result = train(model, table, None, TrainConfig(epochs=epochs, batch_size=64, lr=lr, seed=seed))
+    one_window = table.slice_rows(0, 32)  # only the training loss is read
+    cfg = TrainConfig(epochs=epochs, batch_size=64, lr=lr, seed=seed)
+    result = train(model, table, one_window, cfg)
     return [row.train_mse for row in result.trace]
 
 
