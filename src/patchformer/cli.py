@@ -534,7 +534,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     model = bundle.model
     window = load_csv(args.window)
     if window.channel_names != bundle.channel_names:
-        raise ConfigError(
+        raise DataError(
             f"window channels {window.channel_names} do not match the "
             f"checkpoint's {bundle.channel_names}"
         )
@@ -640,10 +640,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through the exit-code contract."""
+    """argparse that reports usage problems through the exit-code contract.
+
+    A numeric flag takes the next word as its value even when that word
+    starts with ``-``: ``--lr -inf`` parses as ``--lr=-inf`` does, so the
+    value reaches its own check.  Plain argparse reads ``-inf`` as a flag.
+    """
 
     def error(self, message):
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for word in sys.argv[1:] if args is None else args:
+            action = self._option_string_actions.get(joined[-1]) if joined else None
+            if (
+                action is not None and action.type in (int, float)
+                and word.startswith("-") and word not in self._option_string_actions
+            ):
+                joined[-1] = f"{joined[-1]}={word}"
+            else:
+                joined.append(word)
+        return super().parse_known_args(joined, namespace)
 
 
 # Run flags by help section.  Each sets the RunConfig field of its name and

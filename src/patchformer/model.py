@@ -11,18 +11,21 @@ block, softmax per row, and matmul rows that are independent of one another.
 The series stay numpy arrays until the patch projection: the decoder input
 and the patch grids are data preparation, so the graph starts at the weights.
 
-Normalisation follows the residual sums: each sublayer output is added to its
-input and the sum is normalised over both the patch and feature axes, with a
-learnable per-feature scale and shift.
+Normalisation follows the residual sums: each sublayer output, after
+dropout, is added to its input and the sum is normalised over both the patch
+and feature axes, with a learnable per-feature scale and shift.  The dropout
+mask, the sum and the norm of a sublayer record one fused ``layer_norm``
+node; only the two embedding dropouts stay ``dropout`` nodes.
 
 A forward trains exactly when it is given an ``rng``: it then draws dropout
 masks at ``ModelConfig.dropout`` from that stream, in a fixed order.  With
 ``rng=None`` it evaluates and draws nothing.  An evaluation under ``no_grad``
 keeps no graph, so it runs in near-equal blocks of at most ``EVAL_ROWS``
-series rows, whose activations stay in cache.  Rows never mix, so the result
-is the one-pass result up to the GEMM kernel a BLAS picks for a block's row
-count: bitwise at the benchmark shapes, otherwise equal to rounding.  Grad-mode passes run all rows at once, so
-training records one graph per step.
+series rows, which bounds the memory its temporaries take.  Rows never mix,
+so the result is the one-pass result up to the GEMM kernel a BLAS picks for
+a block's row count: bitwise at the benchmark shapes, otherwise equal to
+rounding.  Grad-mode passes run all rows at once, so training records one
+graph per step.
 
 A checkpoint holds the weights, the model config, the z-scaler fitted on the
 training split and the channel names, since a model forecasts only the
@@ -43,7 +46,7 @@ from .data import Scaler
 from .embedding import EmbeddingParams, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
-from .tensor import Tensor, dropout, grad_enabled, linear, no_grad
+from .tensor import Tensor, dropout, dropout_mask, grad_enabled, linear, no_grad
 from .tensor import layer_norm as fused_layer_norm
 
 __all__ = [
@@ -64,9 +67,10 @@ __all__ = [
 
 CHECKPOINT_FORMAT = 1
 LAYER_NORM_EPS = 1e-5
-# Most series rows per block of an evaluation forward under ``no_grad``:
-# small enough that every activation of a block stays in cache.
-EVAL_ROWS = 64
+# Most series rows per block of an evaluation forward under ``no_grad``.  At
+# D=64 a 32-row block peaks at 4.4 MB of temporaries (tracemalloc), about one
+# 4 MiB L2; 64 rows took 8.8 MB and were no faster.
+EVAL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -147,13 +151,22 @@ class LayerNormParams:
         )
 
 
-def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    """Normalise each token block over its patch and feature axes jointly.
+def layer_norm(
+    x: Tensor, p: LayerNormParams, sub: Tensor | None = None, rate: float = 0.0,
+    rng: Rng | None = None,
+) -> Tensor:
+    """Normalise ``x + dropout(sub)`` per token block, over its patch and feature axes.
 
     For a (..., Z, D) input the mean and population standard deviation are
     taken over the trailing Z * D entries, then a per-feature affine applies.
+    Given a residual branch ``sub`` and an ``rng``, its dropout mask at
+    ``rate`` is drawn here, as ``dropout(sub, rate, rng)`` draws it, and the
+    mask, the sum and the norm run as one graph node.
     """
-    return fused_layer_norm(x, p.gamma, p.beta, p.eps)
+    keep = None
+    if sub is not None and rng is not None and rate != 0.0:
+        keep = dropout_mask(sub.shape, rate, rng)
+    return fused_layer_norm(x, p.gamma, p.beta, p.eps, sub, keep)
 
 
 @dataclass
@@ -200,9 +213,8 @@ def encoder_layer(
     x: Tensor, p: EncoderLayerParams, rate: float = 0.0, rng: Rng | None = None
 ) -> Tensor:
     attended = multi_head_attention(x, x, p.attn, rate, rng)
-    x = layer_norm(x + dropout(attended, rate, rng), p.norm1)
-    lifted = feed_forward(x, p.ffn)
-    return layer_norm(x + dropout(lifted, rate, rng), p.norm2)
+    x = layer_norm(x, p.norm1, attended, rate, rng)
+    return layer_norm(x, p.norm2, feed_forward(x, p.ffn), rate, rng)
 
 
 @dataclass
@@ -230,11 +242,10 @@ def decoder_layer(
     x: Tensor, memory: Tensor, p: DecoderLayerParams, rate: float = 0.0, rng: Rng | None = None
 ) -> Tensor:
     attended = multi_head_attention(x, x, p.self_attn, rate, rng)
-    x = layer_norm(x + dropout(attended, rate, rng), p.norm1)
+    x = layer_norm(x, p.norm1, attended, rate, rng)
     crossed = multi_head_attention(x, memory, p.cross_attn, rate, rng)
-    x = layer_norm(x + dropout(crossed, rate, rng), p.norm2)
-    lifted = feed_forward(x, p.ffn)
-    return layer_norm(x + dropout(lifted, rate, rng), p.norm3)
+    x = layer_norm(x, p.norm2, crossed, rate, rng)
+    return layer_norm(x, p.norm3, feed_forward(x, p.ffn), rate, rng)
 
 
 class PatchformerModel:

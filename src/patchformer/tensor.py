@@ -12,14 +12,16 @@ All data is kept in float64.  Operations never mutate their inputs, so the
 recorded graph stays valid until it is garbage collected with the loss.
 Only the ops a model records live here: no general elementwise or reduction
 algebra, and no data preparation, which runs in plain numpy before the graph.
-Besides ``add``, ``relu``, ``dropout``, ``matmul`` and the shape ops, four
-fused primitives record a whole block as one graph node with a closed-form
-VJP: ``linear`` (one folded GEMM plus bias), ``layer_norm`` (over the
-trailing (Z, D) block), ``attention_core`` (multi-head scores, softmax,
-dropout, mixing and the sum over heads) and ``mse_loss``.  ``linear``,
-``layer_norm`` and ``mse_loss`` keep the operation order of the composites
-they replace, so their values are bitwise the same; ``attention_core`` sums
-over heads inside one GEMM, so it agrees with its composite to rounding.
+Besides ``relu``, ``matmul``, the shape ops, and ``add`` and ``dropout``
+(which a model records only at its embedding), four fused primitives record
+a whole block as one graph node with a closed-form VJP: ``linear`` (one
+folded GEMM plus bias), ``layer_norm`` (a sublayer's dropout, residual add
+and norm over the trailing (Z, D) block), ``attention_core`` (multi-head
+scores, softmax, dropout, mixing and the sum over heads) and ``mse_loss``.
+``linear``, ``layer_norm`` and ``mse_loss`` keep the operation order of the
+composites they replace, so their values are bitwise the same;
+``attention_core`` sums over heads inside one GEMM, so it agrees with its
+composite to rounding.
 No model records ``softmax_lastdim``; profiling and checks look it up.
 """
 
@@ -351,13 +353,21 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng) -> np.ndarray:
 # -- fused blocks ---------------------------------------------------------------
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Normalise every trailing (Z, D) block of ``x``, then scale and shift per feature.
+def layer_norm(
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+    sub: Tensor | None = None, keep: np.ndarray | None = None,
+) -> Tensor:
+    """Normalise every trailing (Z, D) block of ``x + sub * keep``, then scale and shift.
 
-    Each block is centred on its mean and divided by its population standard
-    deviation plus ``eps``; ``gamma`` and ``beta`` are (D,).  One graph node;
-    backward keeps only the centred block, the normalised block and the
-    per-block denominators.
+    ``sub`` is an optional residual branch of the shape of ``x`` and ``keep``
+    an optional inverted-dropout multiplier for it; without ``sub`` the block
+    is ``x`` itself.  Each block is centred on its mean and divided by its
+    population standard deviation plus ``eps``; ``gamma`` and ``beta`` are
+    (D,).  The sum is formed in the operation order of
+    ``add(x, dropout(sub))``, so the value is bitwise that composite's.  One
+    graph node; backward keeps only the centred block, the normalised block,
+    the per-block denominators and ``keep``, and passes ``gx`` to ``x`` and
+    ``gx * keep`` to ``sub``.
     """
     if x.ndim < 2:
         raise ShapeError(f"layer_norm expects at least 2 dims, got shape {x.shape}")
@@ -365,12 +375,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         raise ShapeError(
             f"layer_norm affine of shapes {gamma.shape}, {beta.shape} for input {x.shape}"
         )
+    if sub is not None and sub.shape != x.shape:
+        raise ShapeError(f"layer_norm residual of shape {sub.shape} for input {x.shape}")
+    if keep is not None and (sub is None or keep.shape != x.shape):
+        raise ShapeError(f"layer_norm dropout mask of shape {keep.shape} for input {x.shape}")
     count = x.shape[-2] * x.shape[-1]
     if count == 0:
         raise ShapeError(f"layer_norm over an empty block, input shape {x.shape}")
     axes = (-2, -1)
     inv_n = 1.0 / count
-    centered = x.data - x.data.sum(axis=axes, keepdims=True) * inv_n
+    if sub is None:
+        centered = x.data - x.data.sum(axis=axes, keepdims=True) * inv_n
+    else:
+        # The residual sum is centred in place: it is needed only centred.
+        if keep is None:
+            centered = x.data + sub.data
+        else:
+            centered = sub.data * keep
+            np.add(x.data, centered, out=centered)
+        centered -= centered.sum(axis=axes, keepdims=True) * inv_n
     normed = centered * centered
     std = (normed.sum(axis=axes, keepdims=True) * inv_n) ** 0.5
     denom = std + eps
@@ -389,9 +412,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         g_std = np.divide(g_denom * inv_n, std, out=np.zeros_like(std), where=std != 0)
         g_centered = g_normed / denom + centered * g_std
         gx = g_centered - g_centered.sum(axis=axes, keepdims=True) * inv_n
-        return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+        g_sub = () if sub is None else (gx if keep is None else gx * keep,)
+        return (gx, *g_sub, (g * normed).sum(axis=lead), g.sum(axis=lead))
 
-    return _record(data, (x, gamma, beta), vjp, "layer_norm")
+    parents = (x, gamma, beta) if sub is None else (x, sub, gamma, beta)
+    return _record(data, parents, vjp, "layer_norm")
 
 
 def attention_core(

@@ -10,7 +10,16 @@ to a binary op are wrapped as constant tensors.
 import numpy as np
 
 from patchformer.errors import ShapeError
-from patchformer.tensor import Tensor, _record, _unbroadcast, attention_core, linear
+from patchformer.tensor import (
+    Tensor,
+    _record,
+    _unbroadcast,
+    add,
+    attention_core,
+    dropout,
+    layer_norm,
+    linear,
+)
 
 
 def as_tensor(value) -> Tensor:
@@ -90,6 +99,11 @@ def composite_mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeError(f"loss shapes differ: {pred.shape} vs {np.shape(target)}")
     diff = sub(pred, target)
     return reduce_mean(mul(diff, diff))
+
+
+def composite_residual_norm(x, sub, gamma, beta, eps, rate=0.0, rng=None) -> Tensor:
+    """A sublayer's end as three nodes: dropout of ``sub``, the residual add, the plain norm."""
+    return layer_norm(add(x, dropout(sub, rate, rng)), gamma, beta, eps)
 
 
 def probed(out: Tensor, probe) -> Tensor:

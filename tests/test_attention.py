@@ -315,4 +315,7 @@ def test_training_graph_uses_one_node_per_norm_and_attention_block(tiny_config, 
     desk = ModelConfig(seq_len=96, pred_len=96, n_channels=5, d_model=64, d_ff=128)
     ops = training_ops(desk, rng_np, batch=4)
     assert set(ops) == TRAINING_OPS
-    assert len(ops) == 83
+    assert len(ops) == 69
+    # each sublayer's dropout and residual add run inside its norm; only the
+    # two embeddings (encoder and decoder input) record their own
+    assert ops.count("add") == ops.count("dropout") == 2

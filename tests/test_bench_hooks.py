@@ -23,6 +23,7 @@ from patchformer import (
     mse_loss,
     training,
 )
+from patchformer.model import EVAL_ROWS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -63,8 +64,8 @@ def test_bench_tracer_records_a_training_step_and_a_forecast(monkeypatch):
     recorded = set(tracer.names)
     for name in (
         "tensor.dropout", "attention.self_attn", "attention.cross_attn",
-        "model.encoder_layer", "model.decoder_layer", "tensor.backward", "training.adam",
-        "model.forward",
+        "model.encoder_layer", "model.decoder_layer", "model.layer_norm", "tensor.backward",
+        "training.adam", "model.forward",
     ):
         assert name in recorded, name
 
@@ -81,13 +82,14 @@ def test_bench_tracer_records_a_blocked_evaluation(monkeypatch):
     tracer = spans.Tracer()
     with tracer.installed():
         report = training.evaluate(PatchformerModel.build(cfg), table, batch_size=32)
-    assert report.n_windows == 47  # batches of 96 and 45 series rows: 2 blocks, then 1
+    assert report.n_windows == 47  # batches of 32 and 15 windows: 96 and 45 series rows
+    blocks = sum(-(-rows // EVAL_ROWS) for rows in (96, 45))
     names = tracer.names
     per_block = {"model.encoder_layer": 1, "attention.self_attn": 2, "attention.cross_attn": 1}
     assert names.count("training.evaluate") == 1
     assert names.count("model.forward_batch") == names.count("model.forward_series") == 2
     for name, count in per_block.items():
-        assert names.count(name) == 3 * count, name
+        assert names.count(name) == blocks * count, name
     series = [i for i, name in enumerate(names) if name == "model.forward_series"]
     layers = [i for i, name in enumerate(names) if name == "model.encoder_layer"]
     assert {tracer.parents[i] for i in layers} == set(series)

@@ -377,6 +377,27 @@ def test_forecast_rejects_wrong_window_length(cli_run, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "names",
+    [["electricity", "gas", "steam"], ["gas", "electricity", "heat"]],
+    ids=["renamed", "reordered"],
+)
+def test_forecast_window_with_other_channels_is_a_data_error(cli_run, tmp_path, capsys, names):
+    """The fault is in the window file, so it exits 2 as ``evaluate`` does."""
+    from patchformer.data import TimeSeriesTable, save_csv
+
+    window = load_csv(cli_run["data"]).slice_rows(0, 32)
+    window_csv = tmp_path / "window.csv"
+    save_csv(TimeSeriesTable(window.timestamps, window.values, names), window_csv)
+    code = main([
+        "forecast", "--checkpoint", str(cli_run["run"] / "model_best.npz"),
+        "--window", str(window_csv), "--out-file", str(tmp_path / "f.csv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"data error: window channels {names}")
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_forecast_extrapolates_integer_stamps(cli_run, tmp_path):
     from patchformer.cli import _extrapolate_stamps
 
@@ -554,6 +575,11 @@ VALID_ZEROS = {("lr", "0"), ("dropout", "0"), ("synth_noise_std", "0"),
 
 
 def test_every_numeric_setting_refuses_nan_inf_zero_and_negative(tmp_path, capsys):
+    """Each value is sent as ``--flag=value``, as ``--flag value`` and as a config line.
+
+    The space form must reach the same check as the ``=`` form, with the
+    same message, even for a value that starts with ``-``.
+    """
     numeric = {f.name for f in fields(RunConfig) if f.type in ("int", "int | None", "float")}
     assert numeric == set(NUMERIC_BASE)
     cfg_file = tmp_path / "run.cfg"
@@ -562,15 +588,21 @@ def test_every_numeric_setting_refuses_nan_inf_zero_and_negative(tmp_path, capsy
         base = {k: v for k, v in NUMERIC_BASE.items() if k != name}
         base_flags = [f"--{k.replace('_', '-')}={v}" for k, v in base.items()]
         for value in HOSTILE_VALUES:
-            flag = f"--{name.replace('_', '-')}={value}"
+            flag = f"--{name.replace('_', '-')}"
             cfg_file.write_text(f"{name}={value}\n")
-            entries = {"flag": [flag], "config line": ["--config", str(cfg_file)]}
+            entries = {
+                "flag": [f"{flag}={value}"],
+                "space form": [flag, value],
+                "config line": ["--config", str(cfg_file)],
+            }
+            messages = {}
             for entry, extra in entries.items():
                 case = f"{name}={value} by {entry}"
                 argv = ["train", *base_flags, *extra, "--out-dir", str(tmp_path / "out")]
                 if (name, value) not in VALID_ZEROS:
                     assert main(argv) == 1, case
-                    assert capsys.readouterr().err.startswith("error: "), case
+                    messages[entry] = capsys.readouterr().err
+                    assert messages[entry].startswith("error: "), case
                     refused += 1
                     continue
                 args = build_parser().parse_args(argv)
@@ -578,7 +610,8 @@ def test_every_numeric_setting_refuses_nan_inf_zero_and_negative(tmp_path, capsy
                 assert getattr(cfg, name) == 0, case
                 cfg.train_config(), cfg.model_config(n_channels=2), cfg.synth_spec()
                 accepted += 1
-    assert (refused, accepted) == (2 * (5 * 18 - 5), 2 * 5)
+            assert messages.get("space form") == messages.get("flag"), f"{name}={value}"
+    assert (refused, accepted) == (3 * (5 * 18 - 5), 3 * 5)
     assert not (tmp_path / "out").exists()
 
 

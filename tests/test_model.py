@@ -18,6 +18,7 @@ from patchformer import (
     PatchformerModel,
     Rng,
     Tensor,
+    dropout,
     finite_diff_check,
     load_checkpoint,
     mse_loss,
@@ -89,6 +90,19 @@ def test_layer_norm_batched_blocks_are_independent(rng_np):
     for i in range(3):
         single = layer_norm(Tensor(x[i]), params).data
         np.testing.assert_allclose(batched[i], single, atol=1e-13)
+
+
+@pytest.mark.parametrize("rate, training", [(0.3, True), (0.3, False), (0.0, True)])
+def test_layer_norm_of_a_residual_draws_its_mask_as_dropout_does(rng_np, rate, training):
+    """The sublayer mask comes off the stream where ``dropout(sub, rate, rng)`` takes it."""
+    store, params = make_norm(4)
+    x, sub = (Tensor(rng_np.normal(size=(2, 3, 4))) for _ in range(2))
+    fused_rng, chain_rng = (Rng(5), Rng(5)) if training else (None, None)
+    fused = layer_norm(x, params, sub, rate, fused_rng)
+    chain = layer_norm(x + dropout(sub, rate, chain_rng), params)
+    np.testing.assert_array_equal(fused.data, chain.data)
+    if training:
+        np.testing.assert_array_equal(fused_rng.random(3), chain_rng.random(3))
 
 
 def test_layer_norm_rejects_vectors():
@@ -283,10 +297,11 @@ def test_no_grad_forward_runs_in_blocks(tiny_config, rng_np, shape, rows, atol):
     which a BLAS may use to pick its kernel.  At the tiny and the rolling
     evaluation shapes every block and the single pass land on the same
     kernel (OpenBLAS 0.3.31), and the result is bitwise the grad-mode single
-    pass; 129 rows split 43/43/43, not 64/64/1, whose 1-row tail would sum
+    pass; 65 rows split 22/22/21, not 32/32/1, whose 1-row tail would sum
     the 1,152-long head GEMM in another order.  At pred_len 24 the head GEMM
-    is short enough that a 43-row block takes OpenBLAS's small-matrix kernel
-    while the 129-row pass does not, so the two agree only to rounding.
+    is short enough that a block may take OpenBLAS's small-matrix kernel
+    while the whole pass does not (43 rows against 129 did), so the two are
+    held only to rounding.
     """
     model = PatchformerModel.build(replace(tiny_config, **shape))
     x = rng_np.normal(size=(rows, model.cfg.seq_len))

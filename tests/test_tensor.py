@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from patchformer import Tensor, dropout, no_grad, patch_grid
+from patchformer import ParameterStore, Tensor, dropout, finite_diff_check, no_grad, patch_grid
 from patchformer.errors import ConfigError, ShapeError
 from patchformer.params import Rng
 from patchformer.tensor import (
@@ -35,6 +35,7 @@ from patchformer.tensor import (
 from composite_ops import (
     attention_weights,
     composite_mse_loss,
+    composite_residual_norm,
     div,
     mul,
     probed,
@@ -605,6 +606,70 @@ def test_grad_layer_norm_each_input(rng_np, which):
     check_primitive(fn, inputs[which])
 
 
+def residual_norm_case(seed: int, with_keep: bool):
+    """Random (x, sub, gamma, beta) with 0 to 2 leading axes, and a rate-0.3 mask or None."""
+    rng = np.random.default_rng(seed)
+    shape = (*rng.integers(1, 4, size=rng.integers(0, 3)), *rng.integers(1, 5, size=2))
+    inputs = [
+        rng.normal(loc=rng.normal(), scale=rng.uniform(0.1, 5.0), size=shape),
+        rng.normal(size=shape),
+        rng.normal(size=shape[-1]),
+        rng.normal(size=shape[-1]),
+    ]
+    keep = dropout_mask(shape, 0.3, Rng(seed)) if with_keep else None
+    return inputs, keep
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("with_keep", [False, True])
+def test_residual_layer_norm_is_bitwise_its_composite(seed, with_keep):
+    """``layer_norm(x, ..., sub, keep)`` is ``layer_norm(add(x, dropout(sub)))``, value and VJP."""
+    inputs, keep = residual_norm_case(seed, with_keep)
+    rate, rng = (0.3, Rng(seed)) if with_keep else (0.0, None)
+    results = []
+    for fn in (
+        lambda x, s, g, b: layer_norm(x, g, b, 1e-5, s, keep),
+        lambda x, s, g, b: composite_residual_norm(x, s, g, b, 1e-5, rate, rng),
+    ):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in inputs]
+        out = fn(*leaves)
+        grads = probed(out, np.random.default_rng(99).normal(size=out.shape)).backward()
+        results.append([out.data] + [grads[leaf] for leaf in leaves])
+    for fused, composite in zip(*results):
+        np.testing.assert_array_equal(fused, composite)
+
+
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("with_keep", [False, True])
+def test_grad_residual_layer_norm_each_input(which, with_keep):
+    for seed in range(4):
+        inputs, keep = residual_norm_case(seed, with_keep)
+        probe = np.random.default_rng(seed + 10).normal(size=inputs[0].shape)
+
+        def fn(t):
+            args = [Tensor(v) for v in inputs]
+            args[which] = t
+            x, s, g, b = args
+            return probed(layer_norm(x, g, b, 1e-5, s, keep), probe)
+
+        check_primitive(fn, inputs[which])
+
+
+@pytest.mark.parametrize("with_sub, with_keep", [(False, False), (True, False), (True, True)])
+def test_layer_norm_passes_finite_diff_check(with_sub, with_keep):
+    """Every input as a parameter; without a residual, ``sub`` must get no gradient."""
+    inputs, keep = residual_norm_case(5, with_keep)
+    store = ParameterStore(seed=0)
+    x, s, g, b = (store.add(name, v) for name, v in zip(("x", "sub", "gamma", "beta"), inputs))
+    probe = np.random.default_rng(3).normal(size=x.shape)
+
+    def loss():
+        return probed(layer_norm(x, g, b, 1e-5, s if with_sub else None, keep), probe)
+
+    report = finite_diff_check(loss, store, eps=1e-6)
+    assert report.passed, report.format_lines()
+
+
 def test_layer_norm_constant_block_has_finite_gradients(rng_np):
     """A flat (Z, D) block has std 0; its std term must be 0, not 0 / 0."""
     x = Tensor(np.full((3, 4), 7.0), requires_grad=True)
@@ -651,6 +716,15 @@ def test_fused_primitives_reject_bad_shapes():
         layer_norm(Tensor(np.ones(4)), *identity_affine(4), eps=1e-5)
     with pytest.raises(ShapeError):
         layer_norm(Tensor(np.ones((2, 4))), *identity_affine(3), eps=1e-5)
+    with pytest.raises(ShapeError):
+        layer_norm(Tensor(np.ones((2, 4))), *identity_affine(4), 1e-5, Tensor(np.ones((1, 4))))
+    with pytest.raises(ShapeError):  # a mask without a residual to apply it to
+        layer_norm(Tensor(np.ones((2, 4))), *identity_affine(4), 1e-5, keep=np.ones((2, 4)))
+    with pytest.raises(ShapeError):
+        layer_norm(
+            Tensor(np.ones((2, 4))), *identity_affine(4), 1e-5, Tensor(np.ones((2, 4))),
+            np.ones((1, 4)),
+        )
     with pytest.raises(ShapeError):
         linear(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))))
     with pytest.raises(ShapeError):

@@ -184,7 +184,7 @@ def test_evaluate_is_batch_size_independent():
 
 
 def test_evaluate_is_bitwise_batch_size_independent_across_blocks():
-    """89 windows of 3 channels: the full batch runs 5 blocks, batch 64 runs 3 then 2.
+    """89 windows of 3 channels: the full batch runs 9 blocks, batch 64 runs 6 then 3.
 
     Bitwise at this tiny shape, where every block lands on the same GEMM
     kernel as the full batch; other shapes agree to rounding.
