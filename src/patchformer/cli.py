@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -34,6 +33,7 @@ from .data import (
     generate_synthetic_multienergy,
     load_csv,
     save_csv,
+    write_csv,
 )
 from .errors import (
     ConfigError,
@@ -200,7 +200,7 @@ def resolve_config(
 
 
 class ResultsTable:
-    """MSE/MAE rows keyed by (dataset, model, pred_len, mode), stored sorted."""
+    """MSE/MAE rows keyed by (dataset, model, pred_len, mode): each added once, kept sorted."""
 
     COLUMNS = ("dataset", "model", "pred_len", "mode", "mse", "mae")
 
@@ -209,24 +209,17 @@ class ResultsTable:
 
     def add(self, dataset: str, model: str, pred_len: int, mode: str, report: MetricReport):
         key = (str(dataset), str(model), int(pred_len), str(mode))
+        if key in self._rows:
+            raise ConfigError(f"two runs share the results row {key}; use separate --out-dirs")
         self._rows[key] = (float(report.mse), float(report.mae))
 
     def rows(self) -> list[tuple[str, str, int, str, float, float]]:
         return [key + value for key, value in sorted(self._rows.items())]
 
-    def to_csv(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.COLUMNS)
-            for row in self.rows():
-                writer.writerow([row[0], row[1], row[2], row[3], repr(row[4]), repr(row[5])])
-        return path
-
     def write(self, out_dir) -> None:
         """Write ``results.csv`` and its rendered twin ``results.txt`` into ``out_dir``."""
         out_dir = Path(out_dir)
-        self.to_csv(out_dir / "results.csv")
+        write_csv(out_dir / "results.csv", self.COLUMNS, self.rows())
         (out_dir / "results.txt").write_text(self.render_text(), encoding="utf-8")
 
     def render_text(self) -> str:
@@ -258,18 +251,20 @@ def _load_table(cfg: RunConfig) -> tuple[str, TimeSeriesTable]:
     return "synthetic", generate_synthetic_multienergy(cfg.synth_spec())
 
 
+def _check_mode(mode: str, n_channels: int) -> None:
+    """Refuse a mode that a table or checkpoint of ``n_channels`` channels cannot serve."""
+    if mode == "univariate" and n_channels != 1:
+        raise ConfigError(f"univariate mode needs exactly one channel, got {n_channels}")
+    if mode == "all_at_once" and n_channels < 2:
+        raise ConfigError(f"all_at_once mode needs two or more channels, got {n_channels}")
+
+
 def prepare_data(cfg: RunConfig) -> PreparedData:
     """Load or synthesize, narrow channels per mode, split, and scale."""
     name, table = _load_table(cfg)
     if cfg.channels is not None:
         table = table.select_channels(list(cfg.channels))
-    if cfg.mode == "univariate" and table.n_channels != 1:
-        raise ConfigError(
-            f"univariate mode needs exactly one channel; got {table.n_channels} "
-            f"(narrow with --channels)"
-        )
-    if cfg.mode == "all_at_once" and table.n_channels < 2:
-        raise ConfigError("all_at_once mode needs a channel subset of two or more")
+    _check_mode(cfg.mode, table.n_channels)
     min_len = cfg.seq_len + cfg.pred_len
     train_raw, val_raw, test_raw = chronological_split(table, SPLIT_RATIOS, min_len=min_len)
     scaler = Scaler.fit(train_raw.values, channel_names=train_raw.channel_names)
@@ -284,7 +279,8 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
 
 
 def write_manifest(command: str, out_dir: Path, config: dict, **extra) -> Path:
-    """Write ``manifest.json``: command, package version, the settings read, then ``extra``."""
+    """Make ``out_dir`` and write its ``manifest.json``: command, version, settings, ``extra``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"command": command, "version": __version__, "config": config, **extra}
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -295,14 +291,23 @@ def write_manifest(command: str, out_dir: Path, config: dict, **extra) -> Path:
 class TrainOutputs:
     """Artifacts of one training run, for callers and for the CLI printer."""
 
-    config: RunConfig
     result: TrainResult
     model: PatchformerModel
     data: PreparedData
     test_report: MetricReport
     baseline_report: MetricReport
-    checkpoint_path: Path
     best_checkpoint_path: Path
+
+
+def _score_test(
+    results: ResultsTable, dataset: str, mode: str, model: PatchformerModel, test: TimeSeriesTable
+) -> tuple[MetricReport, MetricReport]:
+    """Score ``model`` and the repeat-last baseline on ``test``; add both rows to ``results``."""
+    report = evaluate(model, test)
+    baseline = repeat_last_report(test, model.cfg.seq_len, model.cfg.pred_len)
+    results.add(dataset, "patchformer", model.cfg.pred_len, mode, report)
+    results.add(dataset, "repeat_last", model.cfg.pred_len, mode, baseline)
+    return report, baseline
 
 
 def run_train(cfg: RunConfig) -> TrainOutputs:
@@ -311,7 +316,6 @@ def run_train(cfg: RunConfig) -> TrainOutputs:
     prepared = prepare_data(cfg)
     model = PatchformerModel.build(cfg.model_config(len(prepared.channel_names)))
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest("train", out_dir, asdict(cfg), seed=cfg.seed, dataset=prepared.dataset_name)
 
     result = train(model, prepared.train, prepared.val, train_cfg)
@@ -323,24 +327,21 @@ def run_train(cfg: RunConfig) -> TrainOutputs:
         extra={"dataset": prepared.dataset_name, "best_epoch": result.best_epoch},
     )
     # ``train`` leaves the model holding its final weights.
-    checkpoint_path = save_checkpoint(model, out_dir / "model.npz", **saved_with)
+    save_checkpoint(model, out_dir / "model.npz", **saved_with)
     model = PatchformerModel.build(model.cfg, dict(result.best_state))
     best_checkpoint_path = save_checkpoint(model, out_dir / "model_best.npz", **saved_with)
 
-    test_report = evaluate(model, prepared.test)
-    baseline = repeat_last_report(prepared.test, cfg.seq_len, cfg.pred_len)
     results = ResultsTable()
-    results.add(prepared.dataset_name, "patchformer", cfg.pred_len, cfg.mode, test_report)
-    results.add(prepared.dataset_name, "repeat_last", cfg.pred_len, cfg.mode, baseline)
+    test_report, baseline = _score_test(
+        results, prepared.dataset_name, cfg.mode, model, prepared.test
+    )
     results.write(out_dir)
     return TrainOutputs(
-        config=cfg,
         result=result,
         model=model,
         data=prepared,
         test_report=test_report,
         baseline_report=baseline,
-        checkpoint_path=checkpoint_path,
         best_checkpoint_path=best_checkpoint_path,
     )
 
@@ -352,7 +353,6 @@ def run_lookback_sweep(
     if not lookbacks or not pred_lens:
         raise ConfigError("sweep needs at least one lookback and one pred_len")
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(
         "sweep", out_dir, asdict(cfg), seed=cfg.seed,
         kind="lookback", lookbacks=lookbacks, pred_lens=pred_lens,
@@ -384,7 +384,6 @@ def run_protocol_comparison(cfg: RunConfig, subset: tuple[str, ...]) -> ResultsT
     if len(subset) < 2:
         raise ConfigError(f"protocol comparison needs two or more channels, got {subset}")
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(
         "sweep", out_dir, asdict(cfg), seed=cfg.seed, kind="protocol", subset=list(subset)
     )
@@ -448,8 +447,6 @@ _EVALUATE_FIELDS = (
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = resolve_config(vars(args), args.config, base={"seq_len": None, "pred_len": None})
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     name, source = _load_table(cfg)
     results = ResultsTable()
     evaluated = []
@@ -464,23 +461,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     f"checkpoint {checkpoint_path} was trained with "
                     f"{field_name}={have}, not {wanted}"
                 )
+        _check_mode(cfg.mode, model.cfg.n_channels)
         table = source.select_channels(bundle.channel_names)
         min_len = model.cfg.seq_len + model.cfg.pred_len
         _, _, test_raw = chronological_split(table, SPLIT_RATIOS, min_len=min_len)
         test = bundle.scaler().transform_table(test_raw)
-        report = evaluate(model, test)
-        baseline = repeat_last_report(test, model.cfg.seq_len, model.cfg.pred_len)
-        results.add(name, "patchformer", model.cfg.pred_len, cfg.mode, report)
-        results.add(name, "repeat_last", model.cfg.pred_len, cfg.mode, baseline)
+        report, baseline = _score_test(results, name, cfg.mode, model, test)
         evaluated.append({"path": checkpoint_path, "model": asdict(model.cfg)})
         print(
             f"{checkpoint_path}: test mse {report.mse:.6f}  mae {report.mae:.6f}  "
             f"(baseline mse {baseline.mse:.6f})"
         )
     config = {key: getattr(cfg, key) for key in _EVALUATE_FIELDS}
-    write_manifest("evaluate", out_dir, config, checkpoints=evaluated)
-    results.write(out_dir)
-    print(f"results in {out_dir}")
+    write_manifest("evaluate", Path(cfg.out_dir), config, checkpoints=evaluated)
+    results.write(cfg.out_dir)
+    print(f"results in {cfg.out_dir}")
     return EXIT_OK
 
 
@@ -619,6 +614,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} must name at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{flag} names a value twice: {text!r}")
     return values
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "TimeSeriesTable",
     "load_csv",
     "save_csv",
+    "write_csv",
     "chronological_split",
     "Scaler",
     "make_windows",
@@ -194,14 +195,19 @@ def _stamp_parser(stamp: str):
     return None
 
 
-def save_csv(table: TimeSeriesTable, path) -> Path:
+def write_csv(path, header, rows) -> Path:
+    """The one CSV writer: ``header``, then ``rows``; a float is written as its exact ``repr``."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date"] + table.channel_names)
-        for stamp, row in zip(table.timestamps, table.values):
-            writer.writerow([stamp] + [repr(v) for v in row.tolist()])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def save_csv(table: TimeSeriesTable, path) -> Path:
+    rows = ([stamp, *row.tolist()] for stamp, row in zip(table.timestamps, table.values))
+    return write_csv(path, ["date", *table.channel_names], rows)
 
 
 def chronological_split(

@@ -32,8 +32,8 @@ def read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class Rng:
-    """A named PCG64 stream with deterministic child spawning."""
+class Rng(np.random.Generator):
+    """A PCG64 generator seeded by ``[seed, *keys]``, with deterministic child spawning."""
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
         self.seed = int(seed)
@@ -42,28 +42,11 @@ class Rng:
                 f"seeds and stream keys must be non-negative, got {self.seed} and {_keys}"
             )
         self._keys = _keys
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, *_keys]))
-        )
+        super().__init__(np.random.PCG64(np.random.SeedSequence([self.seed, *_keys])))
 
     def child(self, *keys: int) -> "Rng":
         """A fresh stream derived from this seed and the given integer keys."""
         return Rng(self.seed, self._keys + tuple(int(k) for k in keys))
-
-    def random(self, shape=()) -> np.ndarray:
-        return self._gen.random(shape)
-
-    def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
-
-    def normal(self, mean: float, std: float, shape=()) -> np.ndarray:
-        return self._gen.normal(mean, std, shape)
-
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
 
 class ParameterStore:

@@ -17,14 +17,13 @@ with the lowest validation MSE.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import TimeSeriesTable, make_windows
+from .data import TimeSeriesTable, make_windows, write_csv
 from .errors import ConfigError, ShapeError, TrainingError
 from .model import PatchformerModel
 from .params import ParameterStore, Rng, read_only
@@ -230,8 +229,9 @@ def train(
 ) -> TrainResult:
     """Adam over shuffled minibatches with per-epoch validation tracking.
 
-    The best snapshot is the one with the lowest validation MSE.  The model
-    is left holding its final-epoch weights; build the best snapshot from
+    The best snapshot is the one with the lowest validation MSE; a
+    non-finite validation MSE is a ``TrainingError``.  The model is left
+    holding its final-epoch weights; build the best snapshot from
     ``best_state``.
     """
     windows = make_windows(train_table, model.cfg.seq_len, model.cfg.pred_len)
@@ -270,6 +270,8 @@ def train(
 
         val = evaluate(model, val_table)
         trace.append(TraceRow(epoch, sum_sq / seen, sum_abs / seen, val.mse, val.mae))
+        if not math.isfinite(val.mse):
+            raise TrainingError(f"validation MSE is {val.mse} after epoch {epoch}")
         if val.mse < best_val_mse:
             best_val_mse = val.mse
             best_epoch = epoch
@@ -280,11 +282,8 @@ def train(
 
 def write_loss_trace(trace: list[TraceRow], path) -> Path:
     """CSV with one train row and one val row per epoch: epoch,split,mse,mae."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "split", "mse", "mae"])
-        for row in trace:
-            writer.writerow([row.epoch, "train", repr(row.train_mse), repr(row.train_mae)])
-            writer.writerow([row.epoch, "val", repr(row.val_mse), repr(row.val_mae)])
-    return path
+    rows = []
+    for row in trace:
+        rows.append((row.epoch, "train", row.train_mse, row.train_mae))
+        rows.append((row.epoch, "val", row.val_mse, row.val_mae))
+    return write_csv(path, ("epoch", "split", "mse", "mae"), rows)

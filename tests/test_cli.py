@@ -3,8 +3,11 @@
 import argparse
 import csv
 import json
+import re
+import shlex
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,17 +145,19 @@ def test_results_table_round_trip(tmp_path):
     table = ResultsTable()
     table.add("synthetic", "patchformer", 96, "multivariate", report(1 / 3, 0.25))
     table.add("synthetic", "repeat_last", 96, "multivariate", report(2.0, 1.0))
-    loaded = read_results(table.to_csv(tmp_path / "results.csv"))
+    table.write(tmp_path)
+    loaded = read_results(tmp_path / "results.csv")
     assert loaded == table.rows()
     assert loaded[0][4] == 1 / 3  # repr round-trips exactly
+    assert (tmp_path / "results.txt").read_text() == table.render_text()
 
 
-def test_results_table_key_is_unique():
+def test_results_table_refuses_a_repeated_key():
     table = ResultsTable()
     table.add("d", "m", 96, "multivariate", report(1.0, 1.0))
-    table.add("d", "m", 96, "multivariate", report(2.0, 2.0))
-    assert len(table.rows()) == 1
-    assert table.rows()[0][4] == 2.0
+    with pytest.raises(ConfigError, match="separate --out-dirs"):
+        table.add("d", "m", 96, "multivariate", report(2.0, 2.0))
+    assert table.rows() == [("d", "m", 96, "multivariate", 1.0, 1.0)]
 
 
 def test_results_table_rows_are_sorted():
@@ -240,29 +245,63 @@ def test_evaluate_reproduces_training_metrics(cli_run, tmp_path):
     assert read_results(out / "results.csv") == read_results(cli_run["run"] / "results.csv")
 
 
+def save_untrained(cli_run, path, pred_len, d_model=16, d_ff=32):
+    """An untrained checkpoint over the shared run's three channels."""
+    cfg = ModelConfig(
+        seq_len=32, pred_len=pred_len, n_channels=3, patch_len=8, stride=4, d_model=d_model,
+        n_heads=2, d_ff=d_ff,
+    )
+    return save_checkpoint(
+        PatchformerModel.build(cfg), path, scaler_mean=np.zeros(3), scaler_std=np.ones(3),
+        channel_names=load_csv(cli_run["data"]).channel_names,
+    )
+
+
 def test_evaluate_accepts_multiple_checkpoints(cli_run, tmp_path):
+    other = save_untrained(cli_run, tmp_path / "o4.npz", pred_len=4)
     out = tmp_path / "eval2"
+    code = main([
+        "evaluate",
+        "--checkpoint", str(cli_run["run"] / "model_best.npz"),
+        "--checkpoint", str(other),
+        "--data", str(cli_run["data"]), "--out-dir", str(out),
+    ])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["checkpoints"]) == 2
+    rows = read_results(out / "results.csv")
+    assert [(row[1], row[2]) for row in rows] == [
+        ("patchformer", 4), ("patchformer", 8), ("repeat_last", 4), ("repeat_last", 8),
+    ]
+    assert [row for row in rows if row[2] == 8] == read_results(cli_run["run"] / "results.csv")
+
+
+def test_evaluate_refuses_checkpoints_that_share_a_results_row(cli_run, tmp_path, capsys):
+    out = tmp_path / "eval"
     code = main([
         "evaluate",
         "--checkpoint", str(cli_run["run"] / "model.npz"),
         "--checkpoint", str(cli_run["run"] / "model_best.npz"),
         "--data", str(cli_run["data"]), "--out-dir", str(out),
     ])
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["checkpoints"]) == 2
+    assert code == 1
+    assert "separate --out-dirs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_mode_the_checkpoint_cannot_serve(cli_run, tmp_path, capsys):
+    out = tmp_path / "eval"
+    code = main([
+        "evaluate", "--checkpoint", str(cli_run["run"] / "model_best.npz"),
+        "--data", str(cli_run["data"]), "--mode", "univariate", "--out-dir", str(out),
+    ])
+    assert code == 1
+    assert "univariate mode needs exactly one channel, got 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_manifest_records_each_checkpoint_model(cli_run, tmp_path):
-    cfg = ModelConfig(
-        seq_len=32, pred_len=8, n_channels=3, patch_len=8, stride=4, d_model=8, n_heads=2,
-        d_ff=16,
-    )
-    narrow = save_checkpoint(
-        PatchformerModel.build(cfg), tmp_path / "d8.npz",
-        scaler_mean=np.zeros(3), scaler_std=np.ones(3),
-        channel_names=load_csv(cli_run["data"]).channel_names,
-    )
+    narrow = save_untrained(cli_run, tmp_path / "d8.npz", pred_len=4, d_model=8, d_ff=16)
     out = tmp_path / "eval"
     code = main([
         "evaluate", "--checkpoint", str(narrow),
@@ -275,6 +314,7 @@ def test_evaluate_manifest_records_each_checkpoint_model(cli_run, tmp_path):
     assert manifest["checkpoints"][0]["path"] == str(narrow)
     assert manifest["config"]["data"] == str(cli_run["data"])
     assert "d_model" not in manifest["config"]
+    assert sorted(row[2] for row in read_results(out / "results.csv")) == [4, 4, 8, 8]
 
 
 def test_evaluate_rejects_incompatible_geometry(cli_run, tmp_path):
@@ -501,6 +541,42 @@ def test_cli_sweep_lookback(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "lookbacks, pred_lens", [("16,16", "8"), ("16", "8,4,8")], ids=["lookbacks", "pred-lens"]
+)
+def test_cli_sweep_refuses_a_repeated_grid_value(lookbacks, pred_lens, tmp_path, capsys):
+    """A repeated value would train one entry twice into one directory; nothing trains."""
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--kind", "lookback", "--lookbacks", lookbacks, "--pred-lens", pred_lens,
+        "--synth-length", "400", "--synth-channels", "2",
+        "--patch-len", "8", "--stride", "4", "--d-model", "16", "--n-heads", "2",
+        "--d-ff", "32", "--epochs", "1", "--batch-size", "16",
+        "--out-dir", str(out),
+    ])
+    assert code == 1
+    assert "names a value twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    """Every ``patchformer`` line of README's ``sh`` blocks parses; nothing runs.
+
+    A flag that is renamed or removed without the README following fails
+    here.  The count catches a block that stops being read as ``sh``.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("patchformer ")
+    ]
+    assert len(commands) == 8
+    for words in commands:
+        build_parser().parse_args(words[1:])
+
+
 # -- exit codes -----------------------------------------------------------------------
 
 
@@ -677,6 +753,20 @@ def test_exit_code_divergence(tmp_path, cli_run):
     assert code == 3
     # the manifest lands before training starts, so failed runs stay inspectable
     assert (tmp_path / "div" / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_non_finite_validation(tmp_path, capsys):
+    """A step so large that validation is NaN while no batch loss was is a numerical failure."""
+    code = main([
+        "train", "--synth-length", "300", "--synth-channels", "2", "--seq-len", "16",
+        "--pred-len", "8", "--patch-len", "4", "--stride", "2", "--d-model", "8",
+        "--n-heads", "2", "--d-ff", "16", "--e-layers", "1", "--d-layers", "1",
+        "--epochs", "1", "--batch-size", "256", "--lr", "1e300",
+        "--out-dir", str(tmp_path / "nan"),
+    ])
+    assert code == 3
+    assert "validation MSE is nan after epoch 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast"])

@@ -111,6 +111,30 @@ def test_layer_norm_rejects_vectors():
         layer_norm(Tensor(np.ones(4)), params)
 
 
+# -- random streams --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed, keys", [(0, ()), (3, (11,)), (7, (1, 2))])
+def test_rng_child_is_numpy_pcg64_seeded_by_seed_and_keys(seed, keys):
+    rng = Rng(seed).child(*keys)
+    reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *keys])))
+    assert isinstance(rng, np.random.Generator)
+    for draw in (
+        lambda g: g.random((3, 4)),
+        lambda g: g.uniform(-1.0, 1.0, (2, 5)),
+        lambda g: g.normal(0.0, 2.0, (7,)),
+        lambda g: g.integers(0, 100, (6,)),
+        lambda g: g.permutation(9),
+    ):
+        np.testing.assert_array_equal(draw(rng), draw(reference))
+
+
+@pytest.mark.parametrize("make", [lambda: Rng(-1), lambda: Rng(0).child(2, -1)])
+def test_rng_refuses_a_negative_seed_or_key(make):
+    with pytest.raises(ConfigError, match="non-negative"):
+        make()
+
+
 # -- feed-forward ----------------------------------------------------------------
 
 
