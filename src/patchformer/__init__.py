@@ -34,7 +34,7 @@ from .model import (
     save_checkpoint,
 )
 from .params import ParameterStore, Rng
-from .tensor import Tensor, dropout, no_grad
+from .tensor import Masks, Tensor, dropout, no_grad
 from .training import (
     AdamState,
     MetricReport,

@@ -9,9 +9,9 @@ matches a head-by-head loop.  Each head scores with d_model / n_heads columns.
 A block records four fused graph nodes: ``linear`` for the query, key and
 value projections, then one ``attention_core`` (scores on head views of Q
 and K, scaling, softmax and, in a training pass, the dropout mask done in
-place, then the mix of each head's value rows, summed over heads).  A pass
-trains exactly when it is given an ``rng``; without one it evaluates and no
-mask is drawn.  The core keeps only the softmax weights and the mask for
+place, then the mix of each head's value rows, summed over heads).  The mask
+is the next one of the pass's ``Masks``; given none, the block evaluates and
+applies no mask.  The core keeps only the softmax weights and the mask for
 backward; no head-split copy of Q, K or the output is made.  A single head
 is the ``n_heads=1`` case of the same core.
 
@@ -47,10 +47,10 @@ from .params import ParameterStore, read_only
 # and ``attention.softmax_lastdim`` by looking them up in this module's
 # namespace, so a traced run fails with KeyError without them.
 from .tensor import (  # noqa: F401
+    Masks,
     Tensor,
     attention_core,
     dropout,
-    dropout_mask,
     grad_enabled,
     linear,
     softmax_lastdim,
@@ -124,14 +124,14 @@ def _frozen(values: np.ndarray) -> bool:
 
 
 def multi_head_attention(
-    x_q: Tensor, x_kv: Tensor, params: AttentionParams, rate: float = 0.0, rng=None
+    x_q: Tensor, x_kv: Tensor, params: AttentionParams, masks: Masks | None = None
 ) -> Tensor:
     """Attend per head and sum the heads' shares of the output map.
 
     ``x_q`` and ``x_kv`` are (B, Z, d_model); self-attention passes the same
-    tensor for both.  Given an ``rng`` the pass trains: a dropout mask at
-    ``rate`` is drawn from it and applied to the attention weights after the
-    softmax.  Without one the pass evaluates and draws nothing.  The folded
+    tensor for both.  Given ``masks``, the next (B, H, Z_q, Z_kv) mask it
+    draws applies to the attention weights after the softmax; without one
+    the block evaluates.  The folded
     value-output map of ``params.value_out()`` projects the ``x_kv`` rows to
     per-head value rows already at model width, which each head's weights mix
     and the core sums over heads.
@@ -146,9 +146,8 @@ def multi_head_attention(
         )
 
     h = params.n_heads
-    keep = None
-    if rng is not None and rate > 0.0:
-        keep = dropout_mask((x_q.shape[0], h, x_q.shape[1], x_kv.shape[1]), rate, rng)
+    shape = (x_q.shape[0], h, x_q.shape[1], x_kv.shape[1])
+    keep = None if masks is None else masks.draw(shape)
     q = linear(x_q, params.w_query)
     k = linear(x_kv, params.w_key)
     v = linear(x_kv, params.value_out())

@@ -45,7 +45,13 @@ from .errors import (
     TrainingError,
 )
 from .gradcheck import finite_diff_check
-from .model import ModelConfig, PatchformerModel, load_checkpoint, save_checkpoint
+from .model import (
+    ModelConfig,
+    PatchformerModel,
+    load_checkpoint,
+    read_model_config,
+    save_checkpoint,
+)
 from .params import Rng
 from .training import (
     MetricReport,
@@ -352,6 +358,9 @@ def run_lookback_sweep(
     """Train one model per (lookback, horizon) pair at a fixed seed."""
     if not lookbacks or not pred_lens:
         raise ConfigError("sweep needs at least one lookback and one pred_len")
+    for name, values in (("lookbacks", lookbacks), ("pred_lens", pred_lens)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"sweep {name} names a value twice: {values}")
     out_dir = Path(cfg.out_dir)
     write_manifest(
         "sweep", out_dir, asdict(cfg), seed=cfg.seed,
@@ -448,20 +457,33 @@ _EVALUATE_FIELDS = (
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = resolve_config(vars(args), args.config, base={"seq_len": None, "pred_len": None})
     name, source = _load_table(cfg)
-    results = ResultsTable()
-    evaluated = []
+    # Every checkpoint is checked from its meta entry before any is scored.
+    row_of: dict[int, str] = {}
     for checkpoint_path in args.checkpoint:
-        bundle = load_checkpoint(checkpoint_path)
-        model = bundle.model
+        model_cfg = read_model_config(checkpoint_path)
         for field_name in ("seq_len", "pred_len"):
             wanted = getattr(cfg, field_name)
-            have = getattr(model.cfg, field_name)
+            have = getattr(model_cfg, field_name)
             if wanted is not None and wanted != have:
                 raise ConfigError(
                     f"checkpoint {checkpoint_path} was trained with "
                     f"{field_name}={have}, not {wanted}"
                 )
-        _check_mode(cfg.mode, model.cfg.n_channels)
+        try:
+            _check_mode(cfg.mode, model_cfg.n_channels)
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint {checkpoint_path}: {exc}") from None
+        if model_cfg.pred_len in row_of:
+            raise ConfigError(
+                f"checkpoints {row_of[model_cfg.pred_len]} and {checkpoint_path} share the "
+                f"results rows of pred_len={model_cfg.pred_len}; use separate --out-dirs"
+            )
+        row_of[model_cfg.pred_len] = checkpoint_path
+    results = ResultsTable()
+    evaluated = []
+    for checkpoint_path in args.checkpoint:
+        bundle = load_checkpoint(checkpoint_path)
+        model = bundle.model
         table = source.select_channels(bundle.channel_names)
         min_len = model.cfg.seq_len + model.cfg.pred_len
         _, _, test_raw = chronological_split(table, SPLIT_RATIOS, min_len=min_len)
@@ -614,8 +636,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} must name at least one value")
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{flag} names a value twice: {text!r}")
     return values
 
 

@@ -17,9 +17,11 @@ and feature axes, with a learnable per-feature scale and shift.  The dropout
 mask, the sum and the norm of a sublayer record one fused ``layer_norm``
 node; only the two embedding dropouts stay ``dropout`` nodes.
 
-A forward trains exactly when it is given an ``rng``: it then draws dropout
-masks at ``ModelConfig.dropout`` from that stream, in a fixed order.  With
-``rng=None`` it evaluates and draws nothing.  An evaluation under ``no_grad``
+``forward_series`` trains exactly when it is given an ``rng``: it builds the
+pass's one ``Masks`` from ``ModelConfig.dropout`` and that stream, and every
+layer below takes its dropout masks from it, in a fixed order.  With
+``rng=None`` the layers get no masks, so the pass evaluates and draws
+nothing.  An evaluation under ``no_grad``
 keeps no graph, so it runs in near-equal blocks of at most ``EVAL_ROWS``
 series rows, which bounds the memory its temporaries take.  Rows never mix,
 so the result is the one-pass result up to the GEMM kernel a BLAS picks for
@@ -35,6 +37,7 @@ lacks any of them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -46,7 +49,7 @@ from .data import Scaler
 from .embedding import EmbeddingParams, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
-from .tensor import Tensor, dropout, dropout_mask, grad_enabled, linear, no_grad
+from .tensor import Masks, Tensor, dropout, grad_enabled, linear, no_grad
 from .tensor import layer_norm as fused_layer_norm
 
 __all__ = [
@@ -63,6 +66,7 @@ __all__ = [
     "Checkpoint",
     "save_checkpoint",
     "load_checkpoint",
+    "read_model_config",
 ]
 
 CHECKPOINT_FORMAT = 1
@@ -100,8 +104,7 @@ class ModelConfig:
             )
         if self.n_encoder_layers < 1 or self.n_decoder_layers < 1:
             raise ConfigError("the model needs at least one encoder and one decoder layer")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        Masks.check_rate(self.dropout)
         if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads:
             raise ConfigError(
                 f"d_model {self.d_model} must be a positive multiple of n_heads {self.n_heads}"
@@ -154,20 +157,17 @@ class LayerNormParams:
 
 
 def layer_norm(
-    x: Tensor, p: LayerNormParams, sub: Tensor | None = None, rate: float = 0.0,
-    rng: Rng | None = None,
+    x: Tensor, p: LayerNormParams, sub: Tensor | None = None, masks: Masks | None = None
 ) -> Tensor:
     """Normalise ``x + dropout(sub)`` per token block, over its patch and feature axes.
 
     For a (..., Z, D) input the mean and population standard deviation are
     taken over the trailing Z * D entries, then a per-feature affine applies.
-    Given a residual branch ``sub`` and an ``rng``, its dropout mask at
-    ``rate`` is drawn here, as ``dropout(sub, rate, rng)`` draws it, and the
-    mask, the sum and the norm run as one graph node.
+    Given a residual branch ``sub`` and ``masks``, the next mask is drawn
+    here, as ``dropout(sub, masks)`` draws it, and the mask, the sum and the
+    norm run as one graph node.
     """
-    keep = None
-    if sub is not None and rng is not None and rate != 0.0:
-        keep = dropout_mask(sub.shape, rate, rng)
+    keep = None if sub is None or masks is None else masks.draw(sub.shape)
     return fused_layer_norm(x, p.gamma, p.beta, p.eps, sub, keep)
 
 
@@ -211,12 +211,10 @@ class EncoderLayerParams:
         )
 
 
-def encoder_layer(
-    x: Tensor, p: EncoderLayerParams, rate: float = 0.0, rng: Rng | None = None
-) -> Tensor:
-    attended = multi_head_attention(x, x, p.attn, rate, rng)
-    x = layer_norm(x, p.norm1, attended, rate, rng)
-    return layer_norm(x, p.norm2, feed_forward(x, p.ffn), rate, rng)
+def encoder_layer(x: Tensor, p: EncoderLayerParams, masks: Masks | None = None) -> Tensor:
+    attended = multi_head_attention(x, x, p.attn, masks)
+    x = layer_norm(x, p.norm1, attended, masks)
+    return layer_norm(x, p.norm2, feed_forward(x, p.ffn), masks)
 
 
 @dataclass
@@ -241,13 +239,13 @@ class DecoderLayerParams:
 
 
 def decoder_layer(
-    x: Tensor, memory: Tensor, p: DecoderLayerParams, rate: float = 0.0, rng: Rng | None = None
+    x: Tensor, memory: Tensor, p: DecoderLayerParams, masks: Masks | None = None
 ) -> Tensor:
-    attended = multi_head_attention(x, x, p.self_attn, rate, rng)
-    x = layer_norm(x, p.norm1, attended, rate, rng)
-    crossed = multi_head_attention(x, memory, p.cross_attn, rate, rng)
-    x = layer_norm(x, p.norm2, crossed, rate, rng)
-    return layer_norm(x, p.norm3, feed_forward(x, p.ffn), rate, rng)
+    attended = multi_head_attention(x, x, p.self_attn, masks)
+    x = layer_norm(x, p.norm1, attended, masks)
+    crossed = multi_head_attention(x, memory, p.cross_attn, masks)
+    x = layer_norm(x, p.norm2, crossed, masks)
+    return layer_norm(x, p.norm3, feed_forward(x, p.ffn), masks)
 
 
 class PatchformerModel:
@@ -293,8 +291,10 @@ class PatchformerModel:
     def forward_series(self, x: np.ndarray, rng: Rng | None = None) -> Tensor:
         """Forecast a batch of single-channel series: (B, seq_len) -> (B, pred_len).
 
-        Trains with dropout masks drawn from ``rng``; evaluates when it is None.
-        An evaluation under ``no_grad`` runs in near-equal blocks of at most
+        Trains exactly when it is given an ``rng``: the pass's one ``Masks``,
+        at ``ModelConfig.dropout`` over that stream, hands every layer its
+        dropout masks in op order.  Evaluates when it is None.  An evaluation
+        under ``no_grad`` runs in near-equal blocks of at most
         ``EVAL_ROWS`` rows.  Every row is computed on its own, but a BLAS may
         pick another GEMM kernel for a block's row count than for the whole
         batch, one that sums the head's long inner dimension in another order.
@@ -309,21 +309,22 @@ class PatchformerModel:
                 f"forward_series expects a non-empty (batch, {self.cfg.seq_len}) array, "
                 f"got shape {x.shape}"
             )
-        if rng is None and not grad_enabled():
+        if rng is not None:
+            return self._series_pass(x, Masks(self.cfg.dropout, rng))
+        if not grad_enabled():
             parts = np.array_split(x, -(-len(x) // EVAL_ROWS))
             return Tensor(np.concatenate([self._series_pass(part, None).data for part in parts]))
-        return self._series_pass(x, rng)
+        return self._series_pass(x, None)
 
-    def _series_pass(self, x: np.ndarray, rng: Rng | None) -> Tensor:
+    def _series_pass(self, x: np.ndarray, masks: Masks | None) -> Tensor:
         """The forward of ``forward_series`` over all rows of ``x`` at once."""
-        rate = self.cfg.dropout
-        memory = dropout(patch_embed(x, self.embedding), rate, rng)
+        memory = dropout(patch_embed(x, self.embedding), masks)
         for layer in self.encoder_layers:
-            memory = encoder_layer(memory, layer, rate, rng)
+            memory = encoder_layer(memory, layer, masks)
 
-        decoded = dropout(patch_embed(self.decoder_series(x), self.embedding), rate, rng)
+        decoded = dropout(patch_embed(self.decoder_series(x), self.embedding), masks)
         for layer in self.decoder_layers:
-            decoded = decoder_layer(decoded, memory, layer, rate, rng)
+            decoded = decoder_layer(decoded, memory, layer, masks)
 
         flat = decoded.reshape(x.shape[0], self.z_decoder * self.cfg.d_model)
         return linear(flat, self.head_weight)
@@ -351,7 +352,8 @@ class PatchformerModel:
 
         Channels are folded into the batch axis and run in one pass, which
         keeps the graph small and the matmuls large.  Trains with dropout
-        masks drawn from ``rng``; evaluates when it is None.
+        masks drawn from ``rng``, as ``forward_series`` does; evaluates when
+        it is None.
         """
         x = _as_array(x, "forward_batch")
         if x.ndim != 3 or x.shape[1] != self.cfg.seq_len or x.shape[2] != self.cfg.n_channels:
@@ -466,13 +468,14 @@ def _config_from_meta(path: Path, config: dict) -> ModelConfig:
         raise DataError(f"{path}: {exc}") from None
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a model bit for bit from ``save_checkpoint`` output, drawing nothing.
+@contextlib.contextmanager
+def _open_checkpoint(path: Path):
+    """The open ``.npz`` bundle, its meta entry and the ``ModelConfig`` it records.
 
-    A file without both scaler arrays, or without one string name per
-    channel, is a ``DataError`` naming it.
+    Only the meta entry is read here: ``np.load`` reads the other members
+    when they are asked for.  A missing file, a missing meta entry, an
+    unknown format or a bad model config is a ``DataError`` naming ``path``.
     """
-    path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint file not found: {path}")
     with np.load(path, allow_pickle=False) as bundle:
@@ -483,6 +486,26 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(
                 f"unsupported checkpoint format {meta.get('format')!r} in {path}"
             )
+        yield bundle, meta, _config_from_meta(path, dict(meta["config"]))
+
+
+def read_model_config(path) -> ModelConfig:
+    """The ``ModelConfig`` a checkpoint records, checked as ``load_checkpoint`` checks it.
+
+    Reads the meta entry alone, not the weights.
+    """
+    with _open_checkpoint(Path(path)) as (_, _, cfg):
+        return cfg
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Rebuild a model bit for bit from ``save_checkpoint`` output, drawing nothing.
+
+    A file without both scaler arrays, or without one string name per
+    channel, is a ``DataError`` naming it.
+    """
+    path = Path(path)
+    with _open_checkpoint(path) as (bundle, meta, cfg):
         state = {
             key[len("param.") :]: bundle[key] for key in bundle.files if key.startswith("param.")
         }
@@ -490,7 +513,6 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: no scaler state (needs scaler.mean and scaler.std)")
         scaler_mean = bundle["scaler.mean"]
         scaler_std = bundle["scaler.std"]
-    cfg = _config_from_meta(path, dict(meta["config"]))
     channel_names = meta.get("channel_names")
     _check_channel_state(path, cfg.n_channels, channel_names, scaler_mean, scaler_std)
     try:

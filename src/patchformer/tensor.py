@@ -18,6 +18,10 @@ a whole block as one graph node with a closed-form VJP: ``linear`` (one
 folded GEMM plus bias), ``layer_norm`` (a sublayer's dropout, residual add
 and norm over the trailing (Z, D) block), ``attention_core`` (multi-head
 scores, softmax, dropout, mixing and the sum over heads) and ``mse_loss``.
+The dropout of a training pass comes from one ``Masks``: the rate and the
+stream, which hands out each inverted-dropout mask in the order the pass
+asks for them, and at rate 0 draws none.  A layer given ``masks=None``
+evaluates; the fused primitives take the drawn mask as a plain array.
 ``linear``, ``layer_norm`` and ``mse_loss`` keep the operation order of the
 composites they replace, so their values are bitwise the same;
 ``attention_core`` sums over heads inside one GEMM, so it agrees with its
@@ -37,11 +41,11 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 __all__ = [
+    "Masks",
     "Tensor",
     "no_grad",
     "attention_core",
     "dropout",
-    "dropout_mask",
     "grad_enabled",
     "layer_norm",
     "linear",
@@ -331,23 +335,43 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _record(out, (a,), vjp, "softmax")
 
 
-def dropout(a: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout: masks drawn from ``rng``; identity when ``rng`` is None."""
-    if rng is None or rate == 0.0:
+class Masks:
+    """The inverted-dropout masks of one training pass, drawn in turn from one stream.
+
+    ``rate`` is checked once, here.  ``draw(shape)`` returns the next mask:
+    0 where dropped, 1 / (1 - rate) elsewhere, from ``rng.random(shape)``.
+    At rate 0 it draws nothing from the stream and returns None.
+    """
+
+    __slots__ = ("rate", "rng")
+
+    def __init__(self, rate: float, rng):
+        self.rate = Masks.check_rate(rate)
+        self.rng = rng
+
+    @staticmethod
+    def check_rate(rate: float) -> float:
+        """``rate`` itself when it is a dropout rate in [0, 1); ``ConfigError`` otherwise."""
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {rate}")
+        return rate
+
+    def draw(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        if self.rate == 0.0:
+            return None
+        return (self.rng.random(shape) >= self.rate) / (1.0 - self.rate)
+
+
+def dropout(a: Tensor, masks: Masks | None) -> Tensor:
+    """Inverted dropout with the next mask of ``masks``; identity when it draws none."""
+    keep = None if masks is None else masks.draw(a.shape)
+    if keep is None:
         return a
-    keep = dropout_mask(a.shape, rate, rng)
 
     def vjp(g):
         return (g * keep,)
 
     return _record(a.data * keep, (a,), vjp, "dropout")
-
-
-def dropout_mask(shape: tuple[int, ...], rate: float, rng) -> np.ndarray:
-    """The inverted-dropout multiplier: 0 where dropped, 1 / (1 - rate) elsewhere."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 # -- fused blocks ---------------------------------------------------------------

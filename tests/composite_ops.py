@@ -101,9 +101,9 @@ def composite_mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return reduce_mean(mul(diff, diff))
 
 
-def composite_residual_norm(x, sub, gamma, beta, eps, rate=0.0, rng=None) -> Tensor:
+def composite_residual_norm(x, sub, gamma, beta, eps, masks=None) -> Tensor:
     """A sublayer's end as three nodes: dropout of ``sub``, the residual add, the plain norm."""
-    return layer_norm(add(x, dropout(sub, rate, rng)), gamma, beta, eps)
+    return layer_norm(add(x, dropout(sub, masks)), gamma, beta, eps)
 
 
 def probed(out: Tensor, probe) -> Tensor:

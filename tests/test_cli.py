@@ -19,12 +19,14 @@ from patchformer import (
     load_checkpoint,
     save_checkpoint,
 )
+from patchformer import cli
 from patchformer.cli import (
     ResultsTable,
     RunConfig,
     build_parser,
     main,
     resolve_config,
+    run_lookback_sweep,
     run_train,
 )
 from patchformer.data import load_csv
@@ -300,6 +302,39 @@ def test_evaluate_refuses_a_mode_the_checkpoint_cannot_serve(cli_run, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["shared-row", "mode", "pred-len"])
+def test_evaluate_checks_every_checkpoint_before_scoring_any(cli_run, tmp_path, capsys, case):
+    """The second checkpoint is refused from its meta: nothing is scored, and the error names it."""
+    run = cli_run["run"]
+    if case == "shared-row":
+        paths, flags = [run / "model.npz", run / "model_best.npz"], []
+    elif case == "mode":
+        cfg = ModelConfig(
+            seq_len=32, pred_len=4, n_channels=1, patch_len=8, stride=4, d_model=16, n_heads=2,
+            d_ff=32,
+        )
+        single = save_checkpoint(
+            PatchformerModel.build(cfg), tmp_path / "one.npz", scaler_mean=np.zeros(1),
+            scaler_std=np.ones(1), channel_names=load_csv(cli_run["data"]).channel_names[:1],
+        )
+        paths, flags = [single, run / "model_best.npz"], ["--mode", "univariate"]
+    else:
+        narrow = save_untrained(cli_run, tmp_path / "o4.npz", pred_len=4)
+        paths, flags = [narrow, run / "model_best.npz"], ["--pred-len", "4"]
+    out = tmp_path / "eval"
+    checkpoints = [arg for path in paths for arg in ("--checkpoint", str(path))]
+    code = main([
+        "evaluate", *checkpoints, "--data", str(cli_run["data"]), "--out-dir", str(out), *flags,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "test mse" not in captured.out
+    assert str(paths[1]) in captured.err
+    if case == "shared-row":
+        assert str(paths[0]) in captured.err
+    assert not out.exists()
+
+
 def test_evaluate_manifest_records_each_checkpoint_model(cli_run, tmp_path):
     narrow = save_untrained(cli_run, tmp_path / "d8.npz", pred_len=4, d_model=8, d_ff=16)
     out = tmp_path / "eval"
@@ -556,6 +591,21 @@ def test_cli_sweep_refuses_a_repeated_grid_value(lookbacks, pred_lens, tmp_path,
     ])
     assert code == 1
     assert "names a value twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lookback_sweep_refuses_a_repeated_grid_value_before_training(tmp_path, monkeypatch):
+    """The library call refuses a repeat itself: nothing trains and nothing is written."""
+
+    def no_training(cfg):
+        raise AssertionError(f"trained into {cfg.out_dir}")
+
+    monkeypatch.setattr(cli, "run_train", no_training)
+    out = tmp_path / "sweep"
+    cfg = resolve_config({"out_dir": str(out)})
+    for lookbacks, pred_lens in (([16, 16], [8]), ([16], [8, 8])):
+        with pytest.raises(ConfigError, match="names a value twice"):
+            run_lookback_sweep(cfg, lookbacks, pred_lens)
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from patchformer import (
+    Masks,
     ModelConfig,
     ParameterStore,
     PatchformerModel,
@@ -94,12 +95,15 @@ def test_layer_norm_batched_blocks_are_independent(rng_np):
 
 @pytest.mark.parametrize("rate, training", [(0.3, True), (0.3, False), (0.0, True)])
 def test_layer_norm_of_a_residual_draws_its_mask_as_dropout_does(rng_np, rate, training):
-    """The sublayer mask comes off the stream where ``dropout(sub, rate, rng)`` takes it."""
+    """The sublayer mask comes off the stream where ``dropout(sub, masks)`` takes it."""
     store, params = make_norm(4)
     x, sub = (Tensor(rng_np.normal(size=(2, 3, 4))) for _ in range(2))
-    fused_rng, chain_rng = (Rng(5), Rng(5)) if training else (None, None)
-    fused = layer_norm(x, params, sub, rate, fused_rng)
-    chain = layer_norm(x + dropout(sub, rate, chain_rng), params)
+    fused_rng, chain_rng = Rng(5), Rng(5)
+    fused_masks, chain_masks = (
+        (Masks(rate, fused_rng), Masks(rate, chain_rng)) if training else (None, None)
+    )
+    fused = layer_norm(x, params, sub, fused_masks)
+    chain = layer_norm(x + dropout(sub, chain_masks), params)
     np.testing.assert_array_equal(fused.data, chain.data)
     if training:
         np.testing.assert_array_equal(fused_rng.random(3), chain_rng.random(3))
@@ -333,9 +337,9 @@ def test_no_grad_forward_runs_in_blocks(tiny_config, rng_np, shape, rows, atol):
     inner = model._series_pass
     blocks = []
 
-    def counted(part, rng):
+    def counted(part, masks):
         blocks.append(len(part))
-        return inner(part, rng)
+        return inner(part, masks)
 
     model._series_pass = counted
     with no_grad():
@@ -476,6 +480,64 @@ def test_whole_model_gradcheck(tiny_model, rng_np):
 
     report = finite_diff_check(loss, tiny_model.store, eps=1e-4, tol=1e-4)
     assert report.passed, report.format_lines()[-1]
+
+
+def test_training_forward_gradcheck(tiny_config, rng_np):
+    """The training forward passes too: every probe replays its masks from one seed."""
+    model = PatchformerModel.build(replace(tiny_config, dropout=0.1))
+    x = rng_np.normal(size=(1, 16, 2))
+    y = rng_np.normal(size=(1, 8, 2))
+
+    def loss():
+        return mse_loss(model.forward_batch(x, Rng(5)), y)
+
+    with no_grad():
+        evaluated = model.forward_batch(x).data
+    assert not np.array_equal(model.forward_batch(x, Rng(5)).data, evaluated)
+    report = finite_diff_check(loss, model.store, eps=1e-4, tol=1e-4)
+    assert report.passed, report.format_lines()[-1]
+
+
+@pytest.mark.parametrize("n_encoder_layers, n_masks", [(1, 10), (2, 13)])
+def test_a_training_pass_draws_its_masks_in_layer_order(
+    tiny_config, rng_np, monkeypatch, n_encoder_layers, n_masks
+):
+    """One ``forward_batch`` asks its ``Masks`` for each mask in op order, from one stream.
+
+    The embedding, then per encoder layer self-attention and both norms; the
+    decoder embedding, then per decoder layer self-attention, norm 1,
+    cross-attention, norms 2 and 3.  Each mask is the next
+    ``(random(shape) >= rate) / (1 - rate)`` of the stream, and nothing else
+    draws from it.
+    """
+    cfg = replace(tiny_config, dropout=0.1, n_encoder_layers=n_encoder_layers)
+    model = PatchformerModel.build(cfg)
+    drawn = []
+    draw = Masks.draw
+
+    def recorded(self, shape):
+        keep = draw(self, shape)
+        drawn.append((shape, keep))
+        return keep
+
+    monkeypatch.setattr(Masks, "draw", recorded)
+    rng = Rng(5)
+    model.forward_batch(rng_np.normal(size=(3, 16, 2)), rng)
+
+    rows, h, d = 3 * cfg.n_channels, cfg.n_heads, cfg.d_model
+    z_enc, z_dec = model.z_encoder, model.z_decoder
+    encoder = [(rows, h, z_enc, z_enc), (rows, z_enc, d), (rows, z_enc, d)]
+    decoder = [
+        (rows, h, z_dec, z_dec), (rows, z_dec, d), (rows, h, z_dec, z_enc),
+        (rows, z_dec, d), (rows, z_dec, d),
+    ]
+    expected = [(rows, z_enc, d), *encoder * n_encoder_layers, (rows, z_dec, d), *decoder]
+    assert [tuple(shape) for shape, _ in drawn] == expected
+    assert len(drawn) == n_masks
+    twin = Rng(5)
+    for shape, keep in drawn:
+        np.testing.assert_array_equal(keep, (twin.random(shape) >= 0.1) / (1 - 0.1))
+    np.testing.assert_array_equal(rng.random(3), twin.random(3))
 
 
 # -- checkpointing ---------------------------------------------------------------

@@ -18,8 +18,8 @@ from patchformer import ParameterStore, Tensor, dropout, finite_diff_check, no_g
 from patchformer.errors import ConfigError, ShapeError
 from patchformer.params import Rng
 from patchformer.tensor import (
+    Masks,
     attention_core,
-    dropout_mask,
     grad_enabled,
     layer_norm,
     linear,
@@ -459,7 +459,7 @@ def test_grad_dropout_with_pinned_mask():
         probe = rng.normal(size=w.shape)
 
         def fn(t):
-            return probed(dropout(t, rate, Rng(7).child(seed)), probe)
+            return probed(dropout(t, Masks(rate, Rng(7).child(seed))), probe)
 
         check_primitive(fn, w)
 
@@ -469,19 +469,22 @@ def test_grad_dropout_with_pinned_mask():
 
 def test_dropout_identity_when_not_training():
     x = Tensor(np.ones((3, 3)))
-    out = dropout(x, 0.5, None)
+    out = dropout(x, None)
     assert out is x
 
 
 def test_dropout_identity_at_rate_zero():
     x = Tensor(np.ones((3, 3)))
-    out = dropout(x, 0.0, Rng(0))
+    rng = Rng(0)
+    out = dropout(x, Masks(0.0, rng))
     assert out is x
+    # at rate 0 the stream is left untouched
+    np.testing.assert_array_equal(rng.random(3), Rng(0).random(3))
 
 
 def test_dropout_scales_survivors():
     x = Tensor(np.ones((100, 100)))
-    out = dropout(x, 0.5, Rng(0).child(1))
+    out = dropout(x, Masks(0.5, Rng(0).child(1)))
     values = np.unique(out.data)
     assert set(values.tolist()) == {0.0, 2.0}
     assert abs(out.data.mean() - 1.0) < 0.05
@@ -489,9 +492,9 @@ def test_dropout_scales_survivors():
 
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ConfigError):
-        dropout(Tensor(np.ones(3)), 1.0, Rng(0))
+        Masks(1.0, Rng(0))
     with pytest.raises(ConfigError):
-        dropout(Tensor(np.ones(3)), -0.1, Rng(0))
+        Masks(-0.1, Rng(0))
 
 
 # -- fused primitives against the composite expressions they replace -------------
@@ -575,7 +578,7 @@ def attention_case(seed: int, with_keep: bool):
     q = rng.normal(size=(b, z_q, heads * d))
     k = rng.normal(size=(b, z_kv, heads * d))
     v = rng.normal(size=(b, z_kv, heads * d_v))
-    keep = dropout_mask((b, heads, z_q, z_kv), 0.3, rng) if with_keep else None
+    keep = Masks(0.3, rng).draw((b, heads, z_q, z_kv)) if with_keep else None
     return [q, k, v], heads, keep
 
 
@@ -616,7 +619,7 @@ def residual_norm_case(seed: int, with_keep: bool):
         rng.normal(size=shape[-1]),
         rng.normal(size=shape[-1]),
     ]
-    keep = dropout_mask(shape, 0.3, Rng(seed)) if with_keep else None
+    keep = Masks(0.3, Rng(seed)).draw(shape) if with_keep else None
     return inputs, keep
 
 
@@ -625,11 +628,11 @@ def residual_norm_case(seed: int, with_keep: bool):
 def test_residual_layer_norm_is_bitwise_its_composite(seed, with_keep):
     """``layer_norm(x, ..., sub, keep)`` is ``layer_norm(add(x, dropout(sub)))``, value and VJP."""
     inputs, keep = residual_norm_case(seed, with_keep)
-    rate, rng = (0.3, Rng(seed)) if with_keep else (0.0, None)
+    masks = Masks(0.3, Rng(seed)) if with_keep else None
     results = []
     for fn in (
         lambda x, s, g, b: layer_norm(x, g, b, 1e-5, s, keep),
-        lambda x, s, g, b: composite_residual_norm(x, s, g, b, 1e-5, rate, rng),
+        lambda x, s, g, b: composite_residual_norm(x, s, g, b, 1e-5, masks),
     ):
         leaves = [Tensor(v.copy(), requires_grad=True) for v in inputs]
         out = fn(*leaves)
