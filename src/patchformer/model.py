@@ -15,7 +15,8 @@ Normalisation follows the residual sums: each sublayer output, after
 dropout, is added to its input and the sum is normalised over both the patch
 and feature axes, with a learnable per-feature scale and shift.  The dropout
 mask, the sum and the norm of a sublayer record one fused ``layer_norm``
-node; only the two embedding dropouts stay ``dropout`` nodes.
+node; only the two embedding dropouts stay ``dropout`` nodes.  Each
+feed-forward block records one fused ``feed_forward`` node.
 
 ``forward_series`` trains exactly when it is given an ``rng``: it builds the
 pass's one ``Masks`` from ``ModelConfig.dropout`` and that stream, and every
@@ -32,7 +33,8 @@ graph per step.
 A checkpoint holds the weights, the model config, the z-scaler fitted on the
 training split and the channel names, since a model forecasts only the
 scaled channels it was trained on.  ``load_checkpoint`` refuses a file that
-lacks any of them.
+lacks any of them, or whose scaler would forecast garbage, and
+``save_checkpoint`` refuses to write one.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .embedding import EmbeddingParams, compute_patch_count, patch_embed
 from .errors import ConfigError, DataError, ShapeError
 from .params import ParameterStore, Rng
 from .tensor import Masks, Tensor, dropout, grad_enabled, linear, no_grad
+from .tensor import feed_forward as fused_feed_forward
 from .tensor import layer_norm as fused_layer_norm
 
 __all__ = [
@@ -191,7 +194,8 @@ class FeedForwardParams:
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
-    return linear(linear(x, p.w1, p.b1).relu(), p.w2, p.b2)
+    """Position-wise ``relu(x @ w1 + b1) @ w2 + b2``, one fused graph node."""
+    return fused_feed_forward(x, p.w1, p.b1, p.w2, p.b2)
 
 
 @dataclass
@@ -390,7 +394,11 @@ class Checkpoint:
 
 
 def _check_channel_state(path, n_channels, channel_names, scaler_mean, scaler_std) -> None:
-    """Channel names must be strings, and names and scaler arrays one per channel."""
+    """Channel names must be strings, and names and scaler arrays one per channel.
+
+    Every mean must be finite and every std finite and above 0: any other
+    scaler turns forecasts into NaN or inf, or flips the sign of the input.
+    """
     if not isinstance(channel_names, list) or not all(
         isinstance(name, str) for name in channel_names
     ):
@@ -406,6 +414,13 @@ def _check_channel_state(path, n_channels, channel_names, scaler_mean, scaler_st
                 f"{path}: scaler {label} has shape {np.shape(stat)}, expected "
                 f"({n_channels},) for a {n_channels}-channel model"
             )
+    for name, mean, std in zip(channel_names, scaler_mean, scaler_std):
+        if not np.isfinite(mean):
+            raise DataError(f"{path}: scaler mean of channel {name!r} is {mean}, not finite")
+        if not (np.isfinite(std) and std > 0):
+            raise DataError(
+                f"{path}: scaler std of channel {name!r} is {std}, not finite and above 0"
+            )
 
 
 def save_checkpoint(
@@ -419,7 +434,8 @@ def save_checkpoint(
     """Write weights, config, scaler state and channel names to one ``.npz`` container.
 
     Channel names and scaler arrays that do not match the model's channel
-    count raise ``DataError`` here, the same check ``load_checkpoint`` makes.
+    count, a mean that is not finite or a std that is not finite and above 0
+    raise ``DataError`` here, the same check ``load_checkpoint`` makes.
     """
     path = Path(path)
     if path.suffix != ".npz":
@@ -502,7 +518,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Rebuild a model bit for bit from ``save_checkpoint`` output, drawing nothing.
 
     A file without both scaler arrays, or without one string name per
-    channel, is a ``DataError`` naming it.
+    channel, or with a scaler ``save_checkpoint`` refuses, is a ``DataError``
+    naming it.
     """
     path = Path(path)
     with _open_checkpoint(path) as (bundle, meta, cfg):

@@ -54,11 +54,12 @@ class ParameterStore:
 
     Creation order is part of the model definition: every initialiser draws
     from the store's own stream, so building the same architecture with the
-    same seed reproduces every weight bit for bit.  Given a ``state`` (name to
-    array), the initialisers take its arrays instead and draw nothing.  Each
-    array is popped out of ``state`` as its copy is made, so a build holds at
-    most one given array beside its own; the caller's dict ends up empty.
-    Parameter arrays are read-only and own their data (see ``read_only``).
+    same seed reproduces every weight bit for bit.  A drawn array is kept
+    as drawn, with no copy.  Given a ``state`` (name to array), the
+    initialisers take its arrays instead and draw nothing.  Each array is
+    popped out of ``state`` as its copy is made, so a build holds at most one
+    given array beside its own; the caller's dict ends up empty.  Parameter
+    arrays are read-only and own their data (see ``read_only``).
     """
 
     def __init__(self, seed: int, state: dict[str, np.ndarray] | None = None):
@@ -82,16 +83,21 @@ class ParameterStore:
         return sum(t.size for t in self._entries.values())
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
+        """Register a float64 copy of ``data`` under ``name``."""
+        return self._own(name, np.array(data, dtype=np.float64))
+
+    def _own(self, name: str, values: np.ndarray) -> Tensor:
+        """Register ``values``, a float64 array nothing else holds, without a copy."""
         if name in self._entries:
             raise ConfigError(f"parameter {name!r} already registered")
-        tensor = Tensor(read_only(np.array(data, dtype=np.float64)), requires_grad=True)
+        tensor = Tensor(read_only(values), requires_grad=True)
         self._entries[name] = tensor
         return tensor
 
     def _register(self, name: str, shape: tuple[int, ...], draw) -> Tensor:
-        """Add the given state's array for ``name``, or else ``draw()``."""
+        """Add a copy of the given state's array for ``name``, or else ``draw()`` itself."""
         if self._pending is None:
-            return self.add(name, draw())
+            return self._own(name, draw())
         if name not in self._pending:
             raise ConfigError(f"no array for parameter {name!r}")
         values = np.asarray(self._pending.pop(name))

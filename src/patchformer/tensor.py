@@ -12,18 +12,20 @@ All data is kept in float64.  Operations never mutate their inputs, so the
 recorded graph stays valid until it is garbage collected with the loss.
 Only the ops a model records live here: no general elementwise or reduction
 algebra, and no data preparation, which runs in plain numpy before the graph.
-Besides ``relu``, ``matmul``, the shape ops, and ``add`` and ``dropout``
-(which a model records only at its embedding), four fused primitives record
-a whole block as one graph node with a closed-form VJP: ``linear`` (one
-folded GEMM plus bias), ``layer_norm`` (a sublayer's dropout, residual add
-and norm over the trailing (Z, D) block), ``attention_core`` (multi-head
-scores, softmax, dropout, mixing and the sum over heads) and ``mse_loss``.
+Besides ``matmul``, the shape ops, and ``add`` and ``dropout`` (which a
+model records only at its embedding), five fused primitives record a whole
+block as one graph node with a closed-form VJP: ``linear`` (one folded GEMM
+plus bias), ``feed_forward`` (linear, ReLU, linear), ``layer_norm`` (a
+sublayer's dropout, residual add and norm over the trailing (Z, D) block),
+``attention_core`` (multi-head scores, softmax, dropout, mixing and the sum
+over heads) and ``mse_loss``.
 The dropout of a training pass comes from one ``Masks``: the rate and the
 stream, which hands out each inverted-dropout mask in the order the pass
 asks for them, and at rate 0 draws none.  A layer given ``masks=None``
 evaluates; the fused primitives take the drawn mask as a plain array.
-``linear``, ``layer_norm`` and ``mse_loss`` keep the operation order of the
-composites they replace, so their values are bitwise the same;
+``linear``, ``feed_forward``, ``layer_norm`` and ``mse_loss`` keep the
+operation order of the composites they replace, so their values and
+gradients are bitwise the same;
 ``attention_core`` sums over heads inside one GEMM, so it agrees with its
 composite to rounding.
 No model records ``softmax_lastdim``; profiling and checks look it up.
@@ -46,6 +48,7 @@ __all__ = [
     "no_grad",
     "attention_core",
     "dropout",
+    "feed_forward",
     "grad_enabled",
     "layer_norm",
     "linear",
@@ -199,9 +202,6 @@ class Tensor:
     def transpose(self, axes: tuple[int, ...]) -> "Tensor":
         return transpose(self, axes)
 
-    def relu(self) -> "Tensor":
-        return relu(self)
-
 
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     out = Tensor(data)
@@ -222,16 +222,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _record(data, (a, b), vjp, "add")
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); NaN inputs stay NaN and pass no gradient."""
-    data = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (data > 0),)
-
-    return _record(data, (a,), vjp, "relu")
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -375,6 +365,42 @@ def dropout(a: Tensor, masks: Masks | None) -> Tensor:
 
 
 # -- fused blocks ---------------------------------------------------------------
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` for (..., n) ``x``, as one graph node.
+
+    ``w1`` is (n, f) and ``w2`` (f, m).  The ops run in the order of
+    ``linear``, ReLU and ``linear``, so value and gradients are bitwise that
+    composite's.  The ReLU runs in place on the hidden buffer: a NaN stays
+    NaN, and no gradient passes through a NaN or a zero.  Backward keeps
+    only the folded input and the post-ReLU hidden.
+    """
+    if (
+        w1.ndim != 2 or w2.ndim != 2 or x.ndim < 1 or x.shape[-1] != w1.shape[0]
+        or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1]
+        or b2.shape != (w2.shape[1],)
+    ):
+        raise ShapeError(
+            f"feed_forward needs (..., n) @ (n, f) + (f,), then @ (f, m) + (m,); got "
+            f"{x.shape} @ {w1.shape} + {b1.shape}, then @ {w2.shape} + {b2.shape}"
+        )
+    folded = np.ascontiguousarray(x.data).reshape(-1, x.shape[-1])
+    hidden = folded @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2.data
+    out += b2.data
+    data = out.reshape(*x.shape[:-1], w2.shape[1])
+
+    def vjp(g):
+        flat = np.ascontiguousarray(g).reshape(-1, g.shape[-1])
+        g_hidden = flat @ w2.data.T
+        g_hidden *= hidden > 0
+        g_x = (g_hidden @ w1.data.T).reshape(x.shape)
+        return g_x, folded.T @ g_hidden, g_hidden.sum(axis=0), hidden.T @ flat, flat.sum(axis=0)
+
+    return _record(data, (x, w1, b1, w2, b2), vjp, "feed_forward")
 
 
 def layer_norm(

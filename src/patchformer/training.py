@@ -12,7 +12,10 @@ they are bitwise.
 ``train`` shuffles the windows every epoch from a stream seeded by
 ``TrainConfig.seed``, at the dropout rate of ``ModelConfig.dropout``, scores
 the validation table after every epoch, and keeps the weights of the epoch
-with the lowest validation MSE.
+with the lowest validation MSE.  A step's graph, with every activation its
+backward needs, lives as long as the step's prediction and loss; ``train``
+drops both after the Adam update, so it never holds two steps' graphs, nor
+one through validation.
 """
 
 from __future__ import annotations
@@ -267,6 +270,9 @@ def train(
             sum_sq += batch_mse * weight
             sum_abs += float(np.abs(pred.data - y).sum())
             seen += weight
+            # The step's graph lives as long as ``pred`` and ``loss``: drop it
+            # before the next forward records one, and before validation.
+            del pred, loss
 
         val = evaluate(model, val_table)
         trace.append(TraceRow(epoch, sum_sq / seen, sum_abs / seen, val.mse, val.mae))

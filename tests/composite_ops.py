@@ -2,7 +2,7 @@
 
 The tensor core keeps only the ops a model records.  The oracles that pin its
 fused primitives are written in finer ops (subtract, multiply, divide, square
-root, sums and means), defined here on ``tensor._record`` with closed-form
+root, ReLU, sums and means), defined here on ``tensor._record`` with closed-form
 VJPs; ``test_tensor`` checks each against finite differences.  Scalars given
 to a binary op are wrapped as constant tensors.
 """
@@ -53,6 +53,16 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _record(a.data / b.data, (a, b), vjp, "div")
+
+
+def relu(a: Tensor) -> Tensor:
+    """max(x, 0); NaN inputs stay NaN and pass no gradient."""
+    data = np.maximum(a.data, 0.0)
+
+    def vjp(g):
+        return (g * (data > 0),)
+
+    return _record(data, (a,), vjp, "relu")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -106,9 +116,28 @@ def composite_residual_norm(x, sub, gamma, beta, eps, masks=None) -> Tensor:
     return layer_norm(add(x, dropout(sub, masks)), gamma, beta, eps)
 
 
+def composite_feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """The feed-forward block as three nodes: linear, ReLU, linear."""
+    return linear(relu(linear(x, w1, b1)), w2, b2)
+
+
 def probed(out: Tensor, probe) -> Tensor:
     """The scalar sum(out * probe), whose gradient reaching ``out`` is exactly ``probe``."""
     return linear(out.reshape(1, -1), Tensor(np.reshape(probe, (-1, 1))))
+
+
+def graph_nodes(loss):
+    """Every recorded node reachable from ``loss``."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+            nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
 
 
 def attention_weights(q: Tensor, k: Tensor, n_heads: int, keep=None) -> np.ndarray:

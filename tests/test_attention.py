@@ -22,7 +22,7 @@ from patchformer import (
 from patchformer.errors import ConfigError, ShapeError
 from patchformer.tensor import attention_core
 
-from composite_ops import attention_weights, probed
+from composite_ops import attention_weights, graph_nodes, probed
 
 
 def make_params(d_model: int, n_heads: int, seed=0):
@@ -260,20 +260,6 @@ def test_grad_mode_forward_equals_no_grad_forward(tiny_model, rng_np):
     np.testing.assert_array_equal(recorded, no_grad_forward(tiny_model, x))  # memoised
 
 
-def graph_nodes(loss):
-    """Every recorded node reachable from ``loss``."""
-    seen, stack, nodes = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._vjp is not None:
-            nodes.append(node)
-        stack.extend(node._parents)
-    return nodes
-
-
 def test_training_graph_never_projects_values(tiny_model, rng_np):
     """w_value only enters the graph through the folded product, never a GEMM with activations."""
     x, y = windows(rng_np, tiny_model.cfg)
@@ -292,8 +278,8 @@ def test_training_graph_never_projects_values(tiny_model, rng_np):
 
 
 TRAINING_OPS = {
-    "add", "attention_core", "dropout", "layer_norm", "linear", "matmul",
-    "mse_loss", "relu", "reshape", "take", "transpose",
+    "add", "attention_core", "dropout", "feed_forward", "layer_norm", "linear",
+    "matmul", "mse_loss", "reshape", "take", "transpose",
 }
 
 
@@ -309,13 +295,14 @@ def test_training_graph_uses_one_node_per_norm_and_attention_block(tiny_config, 
     ops = training_ops(cfg, rng_np, batch=3)
     assert ops.count("layer_norm") == 2 * cfg.n_encoder_layers + 3 * cfg.n_decoder_layers
     assert ops.count("attention_core") == cfg.n_encoder_layers + 2 * cfg.n_decoder_layers
+    assert ops.count("feed_forward") == cfg.n_encoder_layers + cfg.n_decoder_layers
     assert ops.count("mse_loss") == 1
     assert set(ops) == TRAINING_OPS
     # the desk recipe: 5 channels at D=64, d_ff=128, in a batch of 4 windows
     desk = ModelConfig(seq_len=96, pred_len=96, n_channels=5, d_model=64, d_ff=128)
     ops = training_ops(desk, rng_np, batch=4)
     assert set(ops) == TRAINING_OPS
-    assert len(ops) == 69
+    assert len(ops) == 63
     # each sublayer's dropout and residual add run inside its norm; only the
     # two embeddings (encoder and decoder input) record their own
     assert ops.count("add") == ops.count("dropout") == 2

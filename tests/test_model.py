@@ -39,6 +39,8 @@ from patchformer.model import (
     layer_norm,
 )
 
+from composite_ops import graph_nodes
+
 
 def make_norm(d_model, eps=1e-5, seed=0):
     store = ParameterStore(seed=seed)
@@ -494,6 +496,8 @@ def test_training_forward_gradcheck(tiny_config, rng_np):
     with no_grad():
         evaluated = model.forward_batch(x).data
     assert not np.array_equal(model.forward_batch(x, Rng(5)).data, evaluated)
+    ops = [node.op for node in graph_nodes(loss())]
+    assert ops.count("feed_forward") == 2  # one fused node per layer's block
     report = finite_diff_check(loss, model.store, eps=1e-4, tol=1e-4)
     assert report.passed, report.format_lines()[-1]
 
@@ -760,6 +764,36 @@ def test_load_checkpoint_rejects_channel_count_mismatch(tiny_model, tmp_path, sa
         load_checkpoint(path)
 
 
+GARBAGE_SCALERS = pytest.mark.parametrize(
+    "stat, value, message",
+    [
+        ("mean", np.nan, "scaler mean of channel 'c1' is nan"),  # forecasts NaN
+        ("std", 0.0, "scaler std of channel 'c1' is 0.0"),  # forecasts NaN
+        ("std", np.inf, "scaler std of channel 'c1' is inf"),  # forecasts inf
+        ("std", -1.0, "scaler std of channel 'c1' is -1.0"),  # flips the input's sign
+    ],
+    ids=["nan-mean", "zero-std", "inf-std", "negative-std"],
+)
+
+
+@GARBAGE_SCALERS
+def test_checkpoint_refuses_a_scaler_that_forecasts_garbage(
+    stat, value, message, tiny_model, tmp_path
+):
+    """Both ends refuse it, naming the file and the channel."""
+    bad = {"mean": np.zeros(2), "std": np.ones(2)}
+    bad[stat][1] = value
+    saving = tmp_path / "saving.npz"
+    with pytest.raises(DataError, match=re.escape(f"{saving}: {message}")):
+        save_fitted(tiny_model, saving, scaler_mean=bad["mean"], scaler_std=bad["std"])
+    assert not saving.exists()
+    # save_checkpoint refuses it, so patch it into a valid file.
+    path = save_fitted(tiny_model, tmp_path / "model.npz")
+    rewrite_checkpoint(path, lambda arrays, meta: arrays.update({f"scaler.{stat}": bad[stat]}))
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+
+
 def test_build_rejects_state_name_and_shape_mismatch(tiny_model):
     state = tiny_model.store.state_dict()
     renamed = dict(state)
@@ -795,6 +829,21 @@ def test_load_checkpoint_peak_holds_one_copy_of_the_weights(tmp_path):
         tracemalloc.stop()
     weights = sum(tensor.data.nbytes for _, tensor in model.store.items())
     assert peak <= 1.2 * weights, f"load peak {peak / weights:.2f}x the weight bytes"
+
+
+def test_build_keeps_each_drawn_array_without_a_copy():
+    """A seeded build's peak is its weights alone: no drawn array is copied."""
+    cfg = ModelConfig(seq_len=96, pred_len=96, n_channels=1, d_model=128)
+    tracemalloc.start()
+    try:
+        model = PatchformerModel.build(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = sum(tensor.data.nbytes for _, tensor in model.store.items())
+    assert peak <= 1.05 * weights, f"build peak {peak / weights:.3f}x the weight bytes"
+    for _, tensor in model.store.items():
+        assert tensor.data.flags.owndata and not tensor.data.flags.writeable
 
 
 def test_load_checkpoint_draws_nothing(tiny_model, tmp_path, rng_np, monkeypatch):

@@ -20,12 +20,12 @@ from patchformer.params import Rng
 from patchformer.tensor import (
     Masks,
     attention_core,
+    feed_forward,
     grad_enabled,
     layer_norm,
     linear,
     matmul,
     mse_loss,
-    relu,
     reshape,
     softmax_lastdim,
     take,
@@ -34,6 +34,7 @@ from patchformer.tensor import (
 
 from composite_ops import (
     attention_weights,
+    composite_feed_forward,
     composite_mse_loss,
     composite_residual_norm,
     div,
@@ -41,6 +42,7 @@ from composite_ops import (
     probed,
     reduce_mean,
     reduce_sum,
+    relu,
     sqrt,
     sub,
 )
@@ -160,19 +162,41 @@ def test_layer_norm_block_statistics(rng_np):
     np.testing.assert_allclose(out.data, (x - mean) / (np.sqrt(var) + 1e-5), atol=1e-12)
 
 
-def test_relu_forward_and_grad():
-    x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
-    out = relu(x)
-    assert out.data.tolist() == [0.0, 0.0, 2.0]
-    assert reduce_sum(out).backward()[x].tolist() == [0.0, 0.0, 1.0]
+def unit_feed_forward(x: Tensor) -> Tensor:
+    """``feed_forward`` of (..., 1) ``x`` with 1x1 unit weights and zero biases: its ReLU."""
+    one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+    return feed_forward(x, one, zero, one, zero)
 
 
-def test_relu_propagates_nan():
-    x = Tensor(np.array([np.nan, -1.0, 2.0]), requires_grad=True)
-    out = relu(x)
-    assert np.isnan(out.data[0])
-    assert out.data[1:].tolist() == [0.0, 2.0]
-    assert probed(out, [0.0, 1.0, 1.0]).backward()[x].tolist() == [0.0, 0.0, 1.0]
+def test_feed_forward_relu_forward_and_grad():
+    x = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True)
+    out = unit_feed_forward(x)
+    assert out.data.ravel().tolist() == [0.0, 0.0, 2.0]
+    assert reduce_sum(out).backward()[x].ravel().tolist() == [0.0, 0.0, 1.0]
+
+
+def test_feed_forward_propagates_nan():
+    x = Tensor(np.array([[np.nan], [-1.0], [2.0]]), requires_grad=True)
+    out = unit_feed_forward(x)
+    assert np.isnan(out.data[0, 0])
+    assert out.data[1:, 0].tolist() == [0.0, 2.0]
+    # a gradient reaches every row, but none passes the NaN or the negative entry
+    assert probed(out, [1.0, 1.0, 1.0]).backward()[x].ravel().tolist() == [0.0, 0.0, 1.0]
+
+
+def test_feed_forward_rejects_mismatched_shapes():
+    x, w1, b1 = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+    w2, b2 = Tensor(np.ones((4, 5))), Tensor(np.ones(5))
+    assert feed_forward(x, w1, b1, w2, b2).shape == (2, 5)
+    for args in (
+        (Tensor(np.ones((2, 4))), w1, b1, w2, b2),
+        (x, w1, Tensor(np.ones(3)), w2, b2),
+        (x, w1, b1, Tensor(np.ones((3, 5))), b2),
+        (x, w1, b1, w2, Tensor(np.ones(4))),
+        (x, Tensor(np.ones(3)), b1, w2, b2),
+    ):
+        with pytest.raises(ShapeError, match="feed_forward needs"):
+            feed_forward(*args)
 
 
 def test_reshape_row_major_order():
@@ -323,13 +347,59 @@ def test_grad_sqrt():
         check_primitive(lambda t: probed(sqrt(t), probe), w)
 
 
-def test_grad_relu_away_from_kink():
+def feed_forward_case(seed: int) -> list[np.ndarray]:
+    """Random (x, w1, b1, w2, b2) with 0 to 2 leading axes.
+
+    Redrawn until every hidden pre-activation is at least 0.1 from the ReLU
+    kink, so a finite-difference step never crosses it.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        lead = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+        n, f, m = (int(v) for v in rng.integers(1, 5, size=3))
+        inputs = [
+            rng.normal(size=(*lead, n)), rng.normal(size=(n, f)), rng.normal(size=f),
+            rng.normal(size=(f, m)), rng.normal(size=m),
+        ]
+        if np.all(np.abs(inputs[0] @ inputs[1] + inputs[2]) >= 0.1):
+            return inputs
+
+
+@pytest.mark.parametrize("which", range(5))
+def test_grad_feed_forward_away_from_kink(which):
+    """Finite differences through each input of the fused node, at seeded shapes."""
     for seed in range(6):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=random_shape(rng))
-        w[np.abs(w) < 0.1] = 0.5
-        probe = rng.normal(size=w.shape)
-        check_primitive(lambda t: probed(t.relu(), probe), w)
+        inputs = feed_forward_case(seed)
+        out_shape = (*inputs[0].shape[:-1], len(inputs[4]))
+        probe = np.random.default_rng(seed + 10).normal(size=out_shape)
+
+        def fn(t):
+            args = [Tensor(v) for v in inputs]
+            args[which] = t
+            return probed(feed_forward(*args), probe)
+
+        check_primitive(fn, inputs[which])
+
+
+def desk_feed_forward_case() -> list[np.ndarray]:
+    """The desk widths, D=64 and d_ff=128, over 20 series of 12 tokens."""
+    rng = np.random.default_rng(7)
+    shapes = [(20, 12, 64), (64, 128), (128,), (128, 64), (64,)]
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("case", [*(f"seed{seed}" for seed in range(6)), "desk"])
+def test_feed_forward_is_bitwise_its_composite(case):
+    """``feed_forward`` is ``linear(relu(linear(x, w1, b1)), w2, b2)``, value and VJP."""
+    inputs = desk_feed_forward_case() if case == "desk" else feed_forward_case(int(case[4:]))
+    results = []
+    for fn in (feed_forward, composite_feed_forward):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in inputs]
+        out = fn(*leaves)
+        grads = probed(out, np.random.default_rng(99).normal(size=out.shape)).backward()
+        results.append([out.data] + [grads[leaf] for leaf in leaves])
+    for fused, composite in zip(*results):
+        np.testing.assert_array_equal(fused, composite)
 
 
 def check_matmul(batches, which: int):

@@ -7,6 +7,7 @@ rather than against itself.
 
 import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from patchformer import (
     train,
     write_loss_trace,
 )
+from patchformer import training
 from patchformer.errors import ConfigError, ShapeError, TrainingError
 from patchformer.model import EVAL_ROWS
 
@@ -284,6 +286,30 @@ def test_train_divergence_is_reported_with_location():
     cfg = TrainConfig(epochs=3, batch_size=8, lr=1e100, seed=0)
     with pytest.raises(TrainingError, match="diverged at epoch 0 batch"):
         train(model, table, table, cfg)
+
+
+def test_train_holds_one_step_graph_at_a_time(monkeypatch):
+    """Every step's graph is gone before the next forward starts, and before validation."""
+    model, table = tiny_trained_setup(t=96)
+    preds = []  # a weak reference to each step's prediction
+    live_at_forward = []  # how many of them are alive as each forward starts
+
+    def loss_noting_pred(pred, target):
+        preds.append(weakref.ref(pred.data))
+        return mse_loss(pred, target)
+
+    forward_batch = PatchformerModel.forward_batch
+
+    def forward_after_counting(self, x, rng=None):
+        live_at_forward.append(sum(ref() is not None for ref in preds))
+        return forward_batch(self, x, rng)
+
+    monkeypatch.setattr(training, "mse_loss", loss_noting_pred)
+    monkeypatch.setattr(PatchformerModel, "forward_batch", forward_after_counting)
+    train(model, table, table, TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=0))
+    # 65 windows: 5 steps of 16 and 2 validation batches of 64 per epoch
+    assert len(preds) == 10
+    assert live_at_forward == [0] * 14
 
 
 def test_train_config_validation():
