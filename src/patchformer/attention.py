@@ -11,9 +11,10 @@ value projections, then one ``attention_core`` (scores on head views of Q
 and K, scaling, softmax and, in a training pass, the dropout mask done in
 place, then the mix of each head's value rows, summed over heads).  The mask
 is the next one of the pass's ``Masks``; given none, the block evaluates and
-applies no mask.  The core keeps only the softmax weights and the mask for
-backward; no head-split copy of Q, K or the output is made.  A single head
-is the ``n_heads=1`` case of the same core.
+applies no mask.  The core keeps only the softmax weights and the mask, as
+bits, for backward, which rebuilds the masked weights; no head-split copy of
+Q, K or the output is made.  A single head is the ``n_heads=1`` case of the
+same core.
 
 The value and output projections are folded into one map per head.  With
 attention weights A_h, the output is the reassociated sum

@@ -306,10 +306,19 @@ class TrainOutputs:
 
 
 def _score_test(
-    results: ResultsTable, dataset: str, mode: str, model: PatchformerModel, test: TimeSeriesTable
+    results: ResultsTable, dataset: str, mode: str, model: PatchformerModel,
+    test: TimeSeriesTable, checkpoint: Path | str,
 ) -> tuple[MetricReport, MetricReport]:
-    """Score ``model`` and the repeat-last baseline on ``test``; add both rows to ``results``."""
+    """Score ``model`` and the repeat-last baseline on ``test``; add both rows to ``results``.
+
+    A non-finite score is a ``NumericsError`` naming ``checkpoint``, the file
+    ``model`` was saved to or loaded from, and adds no row.
+    """
     report = evaluate(model, test)
+    if not np.isfinite([report.mse, report.mae]).all():
+        raise NumericsError(
+            f"checkpoint {checkpoint} scores test mse {report.mse}, mae {report.mae}"
+        )
     baseline = repeat_last_report(test, model.cfg.seq_len, model.cfg.pred_len)
     results.add(dataset, "patchformer", model.cfg.pred_len, mode, report)
     results.add(dataset, "repeat_last", model.cfg.pred_len, mode, baseline)
@@ -339,7 +348,7 @@ def run_train(cfg: RunConfig) -> TrainOutputs:
 
     results = ResultsTable()
     test_report, baseline = _score_test(
-        results, prepared.dataset_name, cfg.mode, model, prepared.test
+        results, prepared.dataset_name, cfg.mode, model, prepared.test, best_checkpoint_path
     )
     results.write(out_dir)
     return TrainOutputs(
@@ -488,7 +497,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         min_len = model.cfg.seq_len + model.cfg.pred_len
         _, _, test_raw = chronological_split(table, SPLIT_RATIOS, min_len=min_len)
         test = bundle.scaler().transform_table(test_raw)
-        report, baseline = _score_test(results, name, cfg.mode, model, test)
+        report, baseline = _score_test(results, name, cfg.mode, model, test, checkpoint_path)
         evaluated.append({"path": checkpoint_path, "model": asdict(model.cfg)})
         print(
             f"{checkpoint_path}: test mse {report.mse:.6f}  mae {report.mae:.6f}  "
@@ -563,6 +572,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     scaler = bundle.scaler()
     scaled = scaler.transform(window.values)
     prediction = scaler.inverse(model.forward(scaled))
+    if not np.isfinite(prediction).all():
+        raise NumericsError(f"checkpoint {args.checkpoint} forecasts non-finite values")
     stamps = _extrapolate_stamps(window.timestamps, model.cfg.pred_len)
     out_table = TimeSeriesTable(
         timestamps=stamps, values=prediction, channel_names=window.channel_names

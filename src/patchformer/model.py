@@ -16,7 +16,11 @@ dropout, is added to its input and the sum is normalised over both the patch
 and feature axes, with a learnable per-feature scale and shift.  The dropout
 mask, the sum and the norm of a sublayer record one fused ``layer_norm``
 node; only the two embedding dropouts stay ``dropout`` nodes.  Each
-feed-forward block records one fused ``feed_forward`` node.
+feed-forward block records one fused ``feed_forward`` node.  A training
+graph keeps each dropout mask as bits, one byte per entry, and its backward
+rebuilds the float masks, the masked attention weights and the normalised
+blocks, so the attention arrays, which grow with the square of the patch
+count, cost 9 bytes per entry (the softmax weights and the bits).
 
 ``forward_series`` trains exactly when it is given an ``rng``: it builds the
 pass's one ``Masks`` from ``ModelConfig.dropout`` and that stream, and every

@@ -22,7 +22,11 @@ over heads) and ``mse_loss``.
 The dropout of a training pass comes from one ``Masks``: the rate and the
 stream, which hands out each inverted-dropout mask in the order the pass
 asks for them, and at rate 0 draws none.  A layer given ``masks=None``
-evaluates; the fused primitives take the drawn mask as a plain array.
+evaluates.  A drawn ``Mask`` holds only the kept bits, one byte per entry;
+``dropout``, ``layer_norm`` and ``attention_core`` build its float
+multiplier when they apply it and again in their VJPs.  Backward likewise
+rebuilds what costs one elementwise pass (the masked attention weights and
+the normalised block), so a graph keeps only what it cannot rebuild.
 ``linear``, ``feed_forward``, ``layer_norm`` and ``mse_loss`` keep the
 operation order of the composites they replace, so their values and
 gradients are bitwise the same;
@@ -43,6 +47,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 __all__ = [
+    "Mask",
     "Masks",
     "Tensor",
     "no_grad",
@@ -325,12 +330,34 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _record(out, (a,), vjp, "softmax")
 
 
+class Mask:
+    """One inverted-dropout mask, stored as its kept bits: one byte per entry.
+
+    ``multiplier()`` builds the float mask, 0 where dropped and
+    1 / (1 - rate) elsewhere.  The fused primitives build it when they apply
+    the mask and again in their VJPs, so a graph keeps only the bits.
+    """
+
+    __slots__ = ("kept", "rate")
+
+    def __init__(self, kept: np.ndarray, rate: float):
+        self.kept = kept
+        self.rate = rate
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.kept.shape
+
+    def multiplier(self) -> np.ndarray:
+        return self.kept / (1.0 - self.rate)
+
+
 class Masks:
     """The inverted-dropout masks of one training pass, drawn in turn from one stream.
 
-    ``rate`` is checked once, here.  ``draw(shape)`` returns the next mask:
-    0 where dropped, 1 / (1 - rate) elsewhere, from ``rng.random(shape)``.
-    At rate 0 it draws nothing from the stream and returns None.
+    ``rate`` is checked once, here.  ``draw(shape)`` returns the next
+    ``Mask``, kept where ``rng.random(shape) >= rate``.  At rate 0 it draws
+    nothing from the stream and returns None.
     """
 
     __slots__ = ("rate", "rng")
@@ -346,10 +373,10 @@ class Masks:
             raise ConfigError(f"dropout must be in [0, 1), got {rate}")
         return rate
 
-    def draw(self, shape: tuple[int, ...]) -> np.ndarray | None:
+    def draw(self, shape: tuple[int, ...]) -> Mask | None:
         if self.rate == 0.0:
             return None
-        return (self.rng.random(shape) >= self.rate) / (1.0 - self.rate)
+        return Mask(self.rng.random(shape) >= self.rate, self.rate)
 
 
 def dropout(a: Tensor, masks: Masks | None) -> Tensor:
@@ -359,9 +386,9 @@ def dropout(a: Tensor, masks: Masks | None) -> Tensor:
         return a
 
     def vjp(g):
-        return (g * keep,)
+        return (g * keep.multiplier(),)
 
-    return _record(a.data * keep, (a,), vjp, "dropout")
+    return _record(a.data * keep.multiplier(), (a,), vjp, "dropout")
 
 
 # -- fused blocks ---------------------------------------------------------------
@@ -405,19 +432,19 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
 def layer_norm(
     x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
-    sub: Tensor | None = None, keep: np.ndarray | None = None,
+    sub: Tensor | None = None, keep: Mask | None = None,
 ) -> Tensor:
     """Normalise every trailing (Z, D) block of ``x + sub * keep``, then scale and shift.
 
     ``sub`` is an optional residual branch of the shape of ``x`` and ``keep``
-    an optional inverted-dropout multiplier for it; without ``sub`` the block
-    is ``x`` itself.  Each block is centred on its mean and divided by its
-    population standard deviation plus ``eps``; ``gamma`` and ``beta`` are
-    (D,).  The sum is formed in the operation order of
-    ``add(x, dropout(sub))``, so the value is bitwise that composite's.  One
-    graph node; backward keeps only the centred block, the normalised block,
-    the per-block denominators and ``keep``, and passes ``gx`` to ``x`` and
-    ``gx * keep`` to ``sub``.
+    an optional dropout ``Mask`` for it; without ``sub`` the block is ``x``
+    itself.  Each block is centred on its mean and divided by its population
+    standard deviation plus ``eps``; ``gamma`` and ``beta`` are (D,).  The
+    sum is formed in the operation order of ``add(x, dropout(sub))``, so the
+    value is bitwise that composite's.  One graph node; backward keeps only
+    the centred block, the per-block denominators and the mask's bits.  It
+    rebuilds the normalised block with the forward's own divide, and passes
+    ``gx`` to ``x`` and ``gx`` times the mask's multiplier to ``sub``.
     """
     if x.ndim < 2:
         raise ShapeError(f"layer_norm expects at least 2 dims, got shape {x.shape}")
@@ -441,18 +468,21 @@ def layer_norm(
         if keep is None:
             centered = x.data + sub.data
         else:
-            centered = sub.data * keep
+            centered = keep.multiplier()
+            centered *= sub.data
             np.add(x.data, centered, out=centered)
         centered -= centered.sum(axis=axes, keepdims=True) * inv_n
-    normed = centered * centered
-    std = (normed.sum(axis=axes, keepdims=True) * inv_n) ** 0.5
+    # The squares are needed only for the std; their buffer takes the output.
+    data = centered * centered
+    std = (data.sum(axis=axes, keepdims=True) * inv_n) ** 0.5
     denom = std + eps
-    np.divide(centered, denom, out=normed)
-    data = normed * gamma.data
+    np.divide(centered, denom, out=data)
+    data *= gamma.data
     data += beta.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
+        normed = centered / denom
         g_normed = g * gamma.data
         # normed = centered / (std + eps) with std = sqrt(mean(centered**2)),
         # and centering subtracts the block mean.
@@ -462,7 +492,7 @@ def layer_norm(
         g_std = np.divide(g_denom * inv_n, std, out=np.zeros_like(std), where=std != 0)
         g_centered = g_normed / denom + centered * g_std
         gx = g_centered - g_centered.sum(axis=axes, keepdims=True) * inv_n
-        g_sub = () if sub is None else (gx if keep is None else gx * keep,)
+        g_sub = () if sub is None else (gx if keep is None else gx * keep.multiplier(),)
         return (gx, *g_sub, (g * normed).sum(axis=lead), g.sum(axis=lead))
 
     parents = (x, gamma, beta) if sub is None else (x, sub, gamma, beta)
@@ -470,20 +500,22 @@ def layer_norm(
 
 
 def attention_core(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, keep: np.ndarray | None = None
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, keep: Mask | None = None
 ) -> Tensor:
     """Softmax attention of every head, summed over heads, as one graph node.
 
     Head h scores with columns h*d:(h+1)*d of ``q`` (B, Z_q, H*d) and ``k``
-    (B, Z_kv, H*d), scaled by 1/sqrt(d); ``keep`` is an optional
-    inverted-dropout multiplier (B, H, Z_q, Z_kv) for the softmax weights.
-    Head h's weights A_h mix its value rows V_h, columns h*E:(h+1)*E of ``v``
-    (B, Z_kv, H*E), and the (B, Z_q, E) result is sum_h A_h V_h.
+    (B, Z_kv, H*d), scaled by 1/sqrt(d); ``keep`` is an optional dropout
+    ``Mask`` (B, H, Z_q, Z_kv) for the softmax weights.  Head h's weights A_h
+    mix its value rows V_h, columns h*E:(h+1)*E of ``v`` (B, Z_kv, H*E), and
+    the (B, Z_q, E) result is sum_h A_h V_h.
 
     The weights are stored key-major, (Z_kv, H, Z_q) per series: one batched
     GEMM writes the scores into a transposed view of that buffer, the softmax
     reduces over its leading axis, and the mix is one GEMM per series with
-    inner dimension Z_kv*H.
+    inner dimension Z_kv*H.  Backward keeps only the softmax weights and the
+    mask's bits.  It runs the score gradient first and frees it, and only
+    then rebuilds the masked weights for the value gradient.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError(
@@ -511,17 +543,23 @@ def attention_core(
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=1, keepdims=True)
-    keep_km = None if keep is None else keep.transpose((0, 3, 1, 2))
-    applied = weights if keep is None else weights * keep_km
-    stacked = applied.reshape(b, z_kv * h, z_q)
     v_rows = v.data.reshape(b, z_kv * h, e)
-    out = np.matmul(stacked.transpose((0, 2, 1)), v_rows)
+
+    def keep_km() -> np.ndarray:
+        """The float mask, key-major as the weights are."""
+        return keep.multiplier().transpose((0, 3, 1, 2))
+
+    def stacked() -> np.ndarray:
+        """The masked weights, (B, Z_kv*H, Z_q)."""
+        applied = weights if keep is None else weights * keep_km()
+        return applied.reshape(b, z_kv * h, z_q)
+
+    out = np.matmul(stacked().transpose((0, 2, 1)), v_rows)
 
     def vjp(g):
-        g_v = np.matmul(stacked, g).reshape(b, z_kv, h * e)
         g_w = np.matmul(v_rows, g.transpose((0, 2, 1))).reshape(b, z_kv, h, z_q)
         if keep is not None:
-            g_w *= keep_km
+            g_w *= keep_km()
         g_w -= (g_w * weights).sum(axis=1, keepdims=True)
         g_w *= weights
         g_w *= scale
@@ -530,6 +568,8 @@ def attention_core(
         g_k = np.empty((b, z_kv, h, d))
         np.matmul(g_scores.transpose((0, 1, 3, 2)), k_heads, out=g_q.transpose((0, 2, 1, 3)))
         np.matmul(g_scores, q_heads, out=g_k.transpose((0, 2, 1, 3)))
+        del g_w, g_scores
+        g_v = np.matmul(stacked(), g).reshape(b, z_kv, h * e)
         return g_q.reshape(b, z_q, width), g_k.reshape(b, z_kv, width), g_v
 
     return _record(out, (q, k, v), vjp, "attention_core")

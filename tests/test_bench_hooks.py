@@ -4,12 +4,18 @@
 (module globals and class attributes).  Deleting or renaming one of them, or
 changing a signature its wrapper relies on, breaks only traced benchmark
 runs, so these tests install the tracer and run a tiny training step and an
-evaluation forecast under it, in well under a second.  The last test runs
-every workload once at its self-test size, as `bench/run.py` calls it.
+evaluation forecast under it, in well under a second.  The last two tests run
+every workload at its self-test size: once in process, as `bench/run.py`
+calls it, and once as a traced `bench/run.py` run in its own process.
 """
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import numpy as np
 
@@ -107,3 +113,19 @@ def test_every_bench_workload_runs_once_at_the_tiny_size(monkeypatch, tmp_path):
         checks = workloads.Checks()
         workload.timed(workload.setup(), 0, checks)
         assert checks.attempted > 0 and checks.failed == 0, (name, checks.failures)
+
+
+@pytest.mark.parametrize("workload", ["train_desk", "eval_rolling", "forecast_ref"])
+def test_a_traced_tiny_bench_run_passes_every_check(workload):
+    """A traced ``bench/run.py`` run exits 0 with every output check passed.
+
+    Seed 5 is one the bench self-test does not run.  At the tiny size the
+    traced-epoch accounting is not checked, so host drift cannot fail this.
+    """
+    cmd = [
+        sys.executable, str(BENCH / "run.py"), "--workload", workload, "--size", "tiny",
+        "--trace", "1", "--seconds", "0.2", "--seed", "5",
+    ]
+    proc = subprocess.run(cmd, cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

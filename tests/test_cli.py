@@ -29,7 +29,7 @@ from patchformer.cli import (
     run_lookback_sweep,
     run_train,
 )
-from patchformer.data import load_csv
+from patchformer.data import load_csv, save_csv
 from patchformer.errors import ConfigError, DataError
 
 TINY_FLAGS = [
@@ -397,8 +397,6 @@ def test_evaluate_refuses_flags_it_never_reads(cli_run, tmp_path, flag, value):
 def test_forecast_reports_bad_checkpoint_config_as_data_error(cli_run, tmp_path, capsys):
     table = load_csv(cli_run["data"])
     window_csv = tmp_path / "window.csv"
-    from patchformer.data import save_csv
-
     save_csv(table.slice_rows(0, 32), window_csv)
     for key, value in (("bogus", 1), ("seq_len", "32")):
         ckpt = tmp_path / "edited.npz"
@@ -420,8 +418,6 @@ def test_forecast_reports_bad_checkpoint_config_as_data_error(cli_run, tmp_path,
 def test_forecast_round_trip(cli_run, tmp_path):
     table = load_csv(cli_run["data"])
     window_csv = tmp_path / "window.csv"
-    from patchformer.data import save_csv
-
     save_csv(table.slice_rows(table.n_steps - 32, table.n_steps), window_csv)
     out_csv = tmp_path / "forecast.csv"
     code = main([
@@ -442,8 +438,6 @@ def test_forecast_round_trip(cli_run, tmp_path):
 def test_forecast_rejects_wrong_window_length(cli_run, tmp_path):
     table = load_csv(cli_run["data"])
     window_csv = tmp_path / "short.csv"
-    from patchformer.data import save_csv
-
     save_csv(table.slice_rows(0, 20), window_csv)
     code = main([
         "forecast", "--checkpoint", str(cli_run["run"] / "model_best.npz"),
@@ -843,3 +837,24 @@ def test_a_checkpoint_without_its_scaler_or_channel_names_is_a_data_error(
         source = ["--window", str(cli_run["data"]), "--out-file", str(tmp_path / "f.csv")]
     assert main([command, "--checkpoint", str(ckpt), *source]) == 2
     assert f"data error: {ckpt}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+def test_a_checkpoint_that_forecasts_nan_is_refused_before_anything_is_written(
+    command, cli_run, tmp_path, capsys
+):
+    """One NaN head weight loads, but no NaN forecast or score leaves the command."""
+    ckpt = tmp_path / "nan.npz"
+    with np.load(cli_run["run"] / "model_best.npz") as bundle:
+        arrays = dict(bundle)
+    arrays["param.head.weight"][0, 0] = np.nan
+    np.savez(ckpt, **arrays)
+    out = tmp_path / "out"
+    source = ["--data", str(cli_run["data"]), "--out-dir", str(out)]
+    if command == "forecast":
+        window_csv = tmp_path / "window.csv"
+        save_csv(load_csv(cli_run["data"]).slice_rows(0, 32), window_csv)
+        source = ["--window", str(window_csv), "--out-file", str(out / "forecast.csv")]
+    assert main([command, "--checkpoint", str(ckpt), *source]) == 3
+    assert f"numerical failure: checkpoint {ckpt} " in capsys.readouterr().err
+    assert not out.exists()

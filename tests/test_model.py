@@ -540,8 +540,45 @@ def test_a_training_pass_draws_its_masks_in_layer_order(
     assert len(drawn) == n_masks
     twin = Rng(5)
     for shape, keep in drawn:
-        np.testing.assert_array_equal(keep, (twin.random(shape) >= 0.1) / (1 - 0.1))
+        expected = (twin.random(shape) >= 0.1) / (1 - 0.1)
+        np.testing.assert_array_equal(keep.multiplier(), expected)
     np.testing.assert_array_equal(rng.random(3), twin.random(3))
+
+
+def test_a_long_lookback_training_graph_keeps_masks_as_bits():
+    """Between forward and backward a graph holds each attention block's weights and bits.
+
+    At seq_len 720 the attention arrays dominate the graph.  Kept as float
+    masks plus the masked weights, this forward's graph holds 6.15 MB
+    (tracemalloc); with bits, and the masked weights and normalised blocks
+    rebuilt in backward, it holds 2.91 MB.
+    """
+    cfg = ModelConfig(
+        seq_len=720, pred_len=96, n_channels=1, patch_len=16, stride=8, d_model=8, n_heads=2,
+        d_ff=16, dropout=0.1,
+    )
+    model = PatchformerModel.build(cfg)
+    x = np.random.default_rng(0).normal(size=(4, 720, 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = mse_loss(model.forward_batch(x, Rng(1)), np.zeros((4, 96, 1)))
+        alive = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert alive <= 4_500_000, f"the graph holds {alive / 1e6:.2f} MB"
+    assert set(loss.backward()) == {tensor for _, tensor in model.store.items()}
+
+
+def test_walking_a_training_graph_twice_returns_equal_maps(tiny_config, rng_np):
+    """Backward rebuilds masks, masked weights and normalised blocks without editing the graph."""
+    model = PatchformerModel.build(replace(tiny_config, dropout=0.3, n_encoder_layers=2))
+    x, y = rng_np.normal(size=(3, 16, 2)), rng_np.normal(size=(3, 8, 2))
+    loss = mse_loss(model.forward_batch(x, Rng(5)), y)
+    first, second = loss.backward(), loss.backward()
+    assert list(first) == list(second)
+    for leaf, grad in first.items():
+        assert grad.tobytes() == second[leaf].tobytes()
 
 
 # -- checkpointing ---------------------------------------------------------------

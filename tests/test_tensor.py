@@ -18,6 +18,7 @@ from patchformer import ParameterStore, Tensor, dropout, finite_diff_check, no_g
 from patchformer.errors import ConfigError, ShapeError
 from patchformer.params import Rng
 from patchformer.tensor import (
+    Mask,
     Masks,
     attention_core,
     feed_forward,
@@ -560,6 +561,18 @@ def test_dropout_scales_survivors():
     assert abs(out.data.mean() - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.9])
+def test_mask_keeps_bits_and_rebuilds_the_float_mask_bitwise(rate):
+    """``Mask.multiplier()`` is ``(u >= rate) / (1 - rate)`` of the stream's next uniforms."""
+    rng, twin = Rng(11), Rng(11)
+    shape = (3, 4, 5)
+    keep = Masks(rate, rng).draw(shape)
+    assert isinstance(keep, Mask) and keep.kept.dtype == np.bool_ and keep.shape == shape
+    expected = (twin.random(shape) >= rate) / (1 - rate)
+    assert keep.multiplier().tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(rng.random(3), twin.random(3))
+
+
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ConfigError):
         Masks(1.0, Rng(0))
@@ -590,7 +603,7 @@ def composite_attention_core(q, k, v, n_heads, keep):
     v_heads = v.reshape(b, z_kv, n_heads, e).transpose((0, 2, 1, 3))
     weights = softmax_lastdim(mul(q_heads @ k_heads.transpose((0, 1, 3, 2)), 1.0 / math.sqrt(d)))
     if keep is not None:
-        weights = mul(weights, keep)
+        weights = mul(weights, keep.multiplier())
     return reduce_sum(weights @ v_heads, axis=1), weights
 
 
